@@ -730,6 +730,13 @@ class PowerSeries:
 def exact_divide(value, divisor):
     """Division that must come out exact; the fraction-free elimination
     steps rely on this and a failure indicates an internal bug."""
+    if isinstance(value, int) and isinstance(divisor, int):
+        quot, rem = divmod(value, divisor)
+        if rem:
+            raise ArithmeticError(
+                f"inexact integer division: {value} by {divisor} (internal error)"
+            )
+        return quot
     if isinstance(divisor, Polynomial) and divisor.degree <= 0:
         divisor = divisor.constant_term
     if isinstance(divisor, int):

@@ -2,12 +2,16 @@
 
 The matrix for a sequence a and offset m has entry(i, j) = a(i + j + m).
 Determinants are computed fraction-free so every intermediate stays in the
-ring the entries come from (integers as `Fraction`, or `Polynomial`).
+ring the entries come from (integers, `Fraction` or `Polynomial`).
+`det_sequence` reads every leading minor off one elimination pass;
+`det_exact` and `det_cofactor` evaluate a single matrix and serve as its
+oracles.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -87,9 +91,7 @@ def hankel_matrix(spec, n: int, offset: int = 0) -> HankelMatrix:
     if offset < 0:
         raise ValueError("offset must be >= 0")
     values = terms(spec, 2 * n - 1 + offset if n else 0)
-    rows = tuple(
-        tuple(values[i + j + offset] for j in range(n)) for i in range(n)
-    )
+    rows = tuple(map(tuple, _square(values, n, offset)))
     return HankelMatrix(spec, offset, n, rows)
 
 
@@ -157,17 +159,67 @@ def det_cofactor(rows, one=None):
     return total
 
 
+def _leading_minors(rows, one) -> list:
+    """Leading principal minors D_1..D_n of a square matrix in one pass.
+
+    Fraction-free elimination without row exchanges: by Sylvester's
+    identity the pivot of step k is D_{k+1}.  A zero pivot whose column
+    has its first nonzero entry below in row i means D_{k+1}..D_i vanish
+    (the trailing block starts with a zero column).  Adding row i to row k
+    keeps every minor of order above i and gives a nonzero pivot, so the
+    pass goes on; orders up to the largest such i are reported as 0.  A
+    column that is zero from row k down makes every remaining minor 0.
+    """
+    work = [list(row) for row in rows]
+    n = len(work)
+    zero = one * 0
+    out = []
+    prev = one
+    zero_until = 0
+    for k in range(n):
+        pivot_row = work[k]
+        if not pivot_row[k]:
+            below = next((i for i in range(k + 1, n) if work[i][k]), None)
+            if below is None:
+                return out + [zero] * (n - k)
+            zero_until = max(zero_until, below)
+            pivot_row[k:] = [a + b for a, b in zip(pivot_row[k:], work[below][k:])]
+        pivot = pivot_row[k]
+        out.append(pivot if k >= zero_until else zero)
+        tail = pivot_row[k + 1:]
+        for row in work[k + 1:]:
+            left = row[k]
+            # Divisibility by the previous pivot is a theorem of the
+            # elimination scheme; a remainder means a bug, not bad input.
+            row[k + 1:] = [
+                exact_divide(pivot * a - left * b, prev)
+                for a, b in zip(row[k + 1:], tail)
+            ]
+        prev = pivot
+    return out
+
+
 def det_sequence(spec, n_max: int, offset: int = 0) -> DetSequence:
-    """Determinants of all leading orders 0..n_max at one offset."""
+    """Determinants of all leading orders 0..n_max at one offset.
+
+    All orders come from one elimination of the order-n_max matrix.
+    Rational entries are scaled by the lcm L of their denominators to
+    Python ints first, and D_n is returned as the int minor over L**n.
+    """
     spec = _as_spec(spec)
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
     values = terms(spec, 2 * n_max - 1 + offset if n_max else 0)
     one = _ring_one(spec)
-    out = [one]
-    for n in range(1, n_max + 1):
-        rows = [
-            [values[i + j + offset] for j in range(n)] for i in range(n)
-        ]
-        out.append(det_exact(rows, one))
-    return DetSequence(spec, offset, tuple(out))
+    if spec.kind == POLYNOMIAL:
+        minors = _leading_minors(_square(values, n_max, offset), one)
+    else:
+        scale = math.lcm(*(v.denominator for v in values))
+        ints = [v.numerator * (scale // v.denominator) for v in values]
+        int_minors = _leading_minors(_square(ints, n_max, offset), 1)
+        minors = [Fraction(d, scale**n) for n, d in enumerate(int_minors, 1)]
+    return DetSequence(spec, offset, (one, *minors))
+
+
+def _square(values, n: int, offset: int) -> list:
+    return [[values[i + j + offset] for j in range(n)] for i in range(n)]

@@ -55,16 +55,22 @@ class SpecError(ValueError):
 # -- closed forms and series ------------------------------------------
 
 
+def _require_integers(values, what: str) -> None:
+    """Closed forms below must come out integral; a fraction is a bug."""
+    if any(v.denominator != 1 for v in values):
+        raise ArithmeticError(f"{what} is not integral (internal error)")
+
+
 def catalan_number(n: int) -> Fraction:
-    top = math.comb(2 * n, n)
-    assert top % (n + 1) == 0
-    return Fraction(top // (n + 1))
+    value = Fraction(math.comb(2 * n, n), n + 1)
+    _require_integers((value,), f"catalan number {n}")
+    return value
 
 
 def catalan_convolution(n: int, r: int) -> Fraction:
     """r-fold Catalan convolution: (r / (2n+r)) * C(2n+r, n)."""
     value = Fraction(r, 2 * n + r) * binomial(2 * n + r, n)
-    assert value.denominator == 1
+    _require_integers((value,), f"catalan convolution ({n}, {r})")
     return value
 
 
@@ -86,8 +92,7 @@ def u_number(n: int, r: int) -> Fraction:
                 [Fraction(1)] + [-r * cat[k] for k in range(n)]
             )
             have = list(denom.invert().coeffs)
-            for value in have:
-                assert value.denominator == 1
+            _require_integers(have, f"u number list for r={r}")
             _U_CACHE[r] = have
         return have[n]
 
@@ -98,8 +103,7 @@ def narayana_poly(n: int) -> Polynomial:
     coeffs = [
         Fraction(binomial(n, k) * binomial(n - 1, k), k + 1) for k in range(n)
     ]
-    for c in coeffs:
-        assert c.denominator == 1
+    _require_integers(coeffs, f"narayana polynomial {n}")
     return Polynomial(coeffs, "t")
 
 
@@ -242,6 +246,7 @@ class _Family:
     kind: str
     param_key: str | None
     produce: object  # (param, count) -> list of values
+    var: str | None = None  # variable of a polynomial family
 
 
 def _plain(fn):
@@ -262,9 +267,9 @@ _FAMILIES: dict[str, _Family] = {
     "fibonacci": _Family(RATIONAL, None, _plain(fibonacci_number)),
     "lucas": _Family(RATIONAL, None, _plain(lucas_number)),
     "f-number": _Family(RATIONAL, "r", _with_param(f_number)),
-    "narayana": _Family(POLYNOMIAL, None, _plain(narayana_poly)),
-    "narayana-b": _Family(POLYNOMIAL, None, _plain(narayana_b_poly)),
-    "convpoly": _Family(POLYNOMIAL, "m", _with_param(conv_poly)),
+    "narayana": _Family(POLYNOMIAL, None, _plain(narayana_poly), "t"),
+    "narayana-b": _Family(POLYNOMIAL, None, _plain(narayana_b_poly), "t"),
+    "convpoly": _Family(POLYNOMIAL, "m", _with_param(conv_poly), "t"),
 }
 
 _NO_ARG_TRANSFORMS = ("double-signed", "aerate", "abs", "consecutive-sum")
@@ -353,12 +358,18 @@ def parse_spec(text: str) -> SequenceSpec:
                 raise SpecError(
                     "eval needs an argument like t=-1", offset
                 )
+            if var != info.var:
+                raise SpecError(_eval_mismatch(var, info.var), offset)
             transforms.append(Transform("eval", (var, value)))
             kind = RATIONAL
         else:
             raise SpecError(f"unknown transform {name!r}", offset)
 
     return SequenceSpec(family, param, tuple(transforms))
+
+
+def _eval_mismatch(name: str, var: str) -> str:
+    return f"eval argument {name!r} does not match variable {var!r}"
 
 
 def _required_input(tr: Transform, count: int) -> int:
@@ -407,9 +418,7 @@ def _apply(tr: Transform, values: list) -> list:
         for v in values:
             if isinstance(v, Polynomial):
                 if v.var is not None and v.var != name:
-                    raise SpecError(
-                        f"eval argument {name!r} does not match variable {v.var!r}"
-                    )
+                    raise SpecError(_eval_mismatch(name, v.var))
                 out.append(v.evaluate(point))
             else:
                 out.append(v)
@@ -429,5 +438,8 @@ def terms(spec: SequenceSpec | str, count: int) -> list:
     values = _FAMILIES[spec.family].produce(spec.param, need)
     for tr in spec.transforms:
         values = _apply(tr, values)
-    assert len(values) >= count
+    if len(values) < count:
+        raise ArithmeticError(
+            f"{spec.text} gave {len(values)} of {count} terms (internal error)"
+        )
     return values[:count]

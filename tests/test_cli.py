@@ -3,10 +3,11 @@
 from __future__ import annotations
 
 import json
-import shutil
+import os
 import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -117,6 +118,7 @@ def test_lgv_json(capsys):
     ["verify", "thm2.1-d0", "--r", "2"],
     ["scan", "conj7.2", "--k-max", "0"],
     ["lgv", "--n", "9"],
+    ["seq", "narayana|eval:x=2", "--terms", "1"],
 ])
 def test_errors_exit_two_with_one_line(capsys, argv):
     code, out, err = _capture(capsys, argv)
@@ -148,11 +150,12 @@ def test_output_is_deterministic(capsys):
 
 
 def test_console_script_matches_run(capsys):
-    exe = shutil.which("hankelab")
-    if exe is None:
-        pytest.skip("console script not on PATH")
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(src), os.environ.get("PYTHONPATH")])))
     argv = ["seq", "convpoly:m=3", "--terms", "3"]
-    proc = subprocess.run([exe, *argv], capture_output=True, text=True)
+    proc = subprocess.run([sys.executable, "-m", "hankelab", *argv],
+                          capture_output=True, text=True, env=env)
     code, out, err = _capture(capsys, argv)
     assert proc.returncode == code == 0
     assert proc.stdout == out

@@ -233,3 +233,7 @@ def test_exact_divide_dispatch():
     assert exact_divide(t * t + t, t) == t + 1
     with pytest.raises(ArithmeticError):
         exact_divide(t * t + 1, t)
+    quot = exact_divide(-6, 3)
+    assert quot == -2 and type(quot) is int
+    with pytest.raises(ArithmeticError):
+        exact_divide(7, 2)

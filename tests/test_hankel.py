@@ -1,5 +1,6 @@
-"""Determinant routines against the cofactor oracle, plus matrix shape
-and serialization checks."""
+"""Determinant routines against the cofactor oracle, the one-pass
+leading-minor kernel against per-order elimination, plus matrix shape and
+serialization checks."""
 
 from __future__ import annotations
 
@@ -11,6 +12,7 @@ import pytest
 
 from hankelab.exactnum import Polynomial
 from hankelab.hankel import (
+    _leading_minors,
     csv_cell,
     det_cofactor,
     det_exact,
@@ -34,6 +36,56 @@ def _random_poly_rows(rng: random.Random, order: int) -> list:
         return Polynomial(coeffs, "t")
 
     return [[cell() for _ in range(order)] for _ in range(order)]
+
+
+# Sparse entries make about a third of the leading minors vanish, so the
+# kernel's look-ahead past zero pivots runs on most matrices.
+SPARSE_INTS = (-1, 0, 0, 0, 1, 2)
+_T = Polynomial.variable_poly("t")
+SPARSE_POLYS = tuple(Polynomial.constant(c) for c in (-1, 0, 0, 0)) + (_T, _T + 1)
+
+
+def _sparse_rows(rng: random.Random, order: int, pool, hankel: bool) -> list:
+    if hankel:
+        seq = [rng.choice(pool) for _ in range(2 * order - 1)]
+        return [[seq[i + j] for j in range(order)] for i in range(order)]
+    return [[rng.choice(pool) for _ in range(order)] for _ in range(order)]
+
+
+@pytest.mark.parametrize("hankel", [True, False], ids=["hankel", "general"])
+@pytest.mark.parametrize("pool, one, trials, max_order", [
+    (SPARSE_INTS, 1, 300, 9),
+    (SPARSE_POLYS, Polynomial.one(), 40, 7),
+], ids=["int", "polynomial"])
+def test_leading_minors_match_per_order_oracles(hankel, pool, one, trials, max_order):
+    rng = random.Random(f"{hankel}:{max_order}")
+    minors_seen = zeros_seen = 0
+    for _ in range(trials):
+        rows = _sparse_rows(rng, rng.randint(1, max_order), pool, hankel)
+        minors = _leading_minors(rows, one)
+        assert len(minors) == len(rows)
+        for n, value in enumerate(minors, 1):
+            block = [row[:n] for row in rows[:n]]
+            assert value == det_exact(block, one), (rows, n)
+            if n <= 5:
+                assert value == det_cofactor(block, one), (rows, n)
+        minors_seen += len(minors)
+        zeros_seen += sum(1 for value in minors if not value)
+    assert zeros_seen > minors_seen // 5
+
+
+@pytest.mark.parametrize("spec, n_max, offset", [
+    ("catconv:r=3", 16, 0),
+    ("catconv:r=5", 16, 0),
+    ("catalan|double-signed|aerate", 16, 1),
+    ("catalan|scale:1/3", 12, 0),
+    ("narayana|eval:t=1/2", 12, 0),
+    ("narayana", 7, 0),
+])
+def test_det_sequence_matches_per_order_det_exact(spec, n_max, offset):
+    got = det_sequence(spec, n_max, offset).values
+    expected = [det_exact(hankel_matrix(spec, n, offset)) for n in range(n_max + 1)]
+    assert [(type(v), str(v)) for v in got] == [(type(v), str(v)) for v in expected]
 
 
 def test_empty_determinant_is_one():

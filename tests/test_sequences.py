@@ -7,6 +7,7 @@ from fractions import Fraction
 
 import pytest
 
+from hankelab import sequences
 from hankelab.exactnum import Polynomial, PowerSeries
 from hankelab.sequences import (
     SpecError,
@@ -237,3 +238,13 @@ def test_double_signed_u_generating_function():
         den = PowerSeries.one(order) + r_const * folded.shift_up(2).truncate(order)
         lhs = PowerSeries(terms(f"u:r={r}|double-signed", order + 1))
         assert lhs * den == num
+
+
+def test_integrality_invariants_raise_arithmetic_error(monkeypatch):
+    # A wrong binomial makes the closed forms non-integral; the check must
+    # raise an exception that survives `python -O`, not an assert.
+    monkeypatch.setattr(sequences, "binomial", lambda n, k: 1)
+    with pytest.raises(ArithmeticError, match="internal error"):
+        catalan_convolution(1, 1)
+    with pytest.raises(ArithmeticError, match="internal error"):
+        narayana_poly(2)
