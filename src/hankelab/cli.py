@@ -15,7 +15,9 @@ import json
 import sys
 
 from . import registry
-from .hankel import csv_cell, det_exact, det_sequence, hankel_matrix, value_text
+from .hankel import (
+    csv_cell, det_exact, det_sequence, hankel_matrix, value_text, values_text,
+)
 from .lattice import lgv_bruteforce
 from .orthopoly import fit_spec
 from .sequences import terms
@@ -35,14 +37,7 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _cmd_seq(args) -> int:
-    values = terms(args.spec, args.terms)
-    if args.format == "json":
-        text = json.dumps([value_text(v) for v in values], indent=2) + "\n"
-    else:
-        lines = ["n,value"]
-        lines += [f"{n},{csv_cell(v)}" for n, v in enumerate(values)]
-        text = "\n".join(lines) + "\n"
-    sys.stdout.write(text)
+    sys.stdout.write(values_text(terms(args.spec, args.terms), args.format))
     return 0
 
 

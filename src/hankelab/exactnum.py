@@ -39,6 +39,19 @@ def _is_scalar(value) -> bool:
     return isinstance(value, (int, Fraction))
 
 
+def _power(base, exponent: int):
+    """base ** exponent for exponent >= 1 by repeated squaring, with no
+    product by the unit and no square past the top bit."""
+    result = None
+    while True:
+        if exponent & 1:
+            result = base if result is None else result * base
+        exponent >>= 1
+        if not exponent:
+            return result
+        base = base * base
+
+
 _TERM = re.compile(
     r"\s*([+-])?\s*"
     r"(?:(\d+(?:/\d+)?)\s*\*?\s*)?"
@@ -237,15 +250,9 @@ class Polynomial:
     def __pow__(self, exponent: int):
         if not isinstance(exponent, int) or exponent < 0:
             raise ValueError("polynomial power needs an integer exponent >= 0")
-        result = Polynomial.one()
-        base = self
-        e = exponent
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base
-            e >>= 1
-        return result
+        if not exponent:
+            return Polynomial.one()
+        return _power(self, exponent)
 
     def __divmod__(self, other):
         rhs = self._wrap_other(other)
@@ -661,15 +668,9 @@ class PowerSeries:
     def __pow__(self, exponent: int):
         if not isinstance(exponent, int) or exponent < 0:
             raise ValueError("series power needs an integer exponent >= 0")
-        result = PowerSeries.one(self.order)
-        base = self
-        e = exponent
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base
-            e >>= 1
-        return result
+        if not exponent:
+            return PowerSeries.one(self.order)
+        return _power(self, exponent)
 
     def invert(self) -> "PowerSeries":
         """Multiplicative inverse; the constant term must be a nonzero scalar."""

@@ -50,6 +50,14 @@ def csv_cell(value) -> str:
     return str(value)
 
 
+def values_text(values, fmt: str) -> str:
+    """An indexed value list as `n,value` CSV rows or a JSON list of texts."""
+    if fmt == "json":
+        return json.dumps([value_text(v) for v in values], indent=2) + "\n"
+    lines = ["n,value"] + [f"{n},{csv_cell(v)}" for n, v in enumerate(values)]
+    return "\n".join(lines) + "\n"
+
+
 @dataclass(frozen=True)
 class HankelMatrix:
     spec: SequenceSpec
@@ -74,13 +82,10 @@ class DetSequence:
         return len(self.values)
 
     def csv_text(self) -> str:
-        lines = ["n,value"]
-        for n, value in enumerate(self.values):
-            lines.append(f"{n},{csv_cell(value)}")
-        return "\n".join(lines) + "\n"
+        return values_text(self.values, "csv")
 
     def json_text(self) -> str:
-        return json.dumps([value_text(v) for v in self.values], indent=2) + "\n"
+        return values_text(self.values, "json")
 
 
 def hankel_matrix(spec, n: int, offset: int = 0) -> HankelMatrix:

@@ -154,6 +154,34 @@ def fit_spec(spec, depth: int) -> JacobiData:
     return fit_recurrence(terms(spec, 2 * depth), depth)
 
 
+def _moment_rows(rows: int, s, t, horizon: int | None = None):
+    """Rows 0..rows-1 of the moment triangle; row n holds j = 0..n.
+
+    a(0, j) = [j = 0] and
+    a(n, j) = a(n-1, j-1) + s(j) a(n-1, j) + t(j) a(n-1, j+1).
+
+    s None drops the diagonal step (aerated triangles).  With a horizon,
+    row n stops at column horizon-1-n: later columns cannot reach column 0
+    by row horizon-1.
+    """
+    above = [Fraction(1)]
+    for n in range(rows):
+        if n:
+            top = n if horizon is None else min(n, horizon - 1 - n)
+            row = []
+            for j in range(top + 1):
+                value = above[j - 1] if j else None
+                if s is not None and j < len(above):
+                    part = s[j] * above[j]
+                    value = part if value is None else value + part
+                if j + 1 < len(above):
+                    part = t[j] * above[j + 1]
+                    value = part if value is None else value + part
+                row.append(Fraction(0) if value is None else value)
+            above = row
+        yield above
+
+
 def triangle(jd: JacobiData, rows: int) -> Triangle:
     """Forward moment triangle a(n, j); column 0 rebuilds the moments.
 
@@ -162,25 +190,7 @@ def triangle(jd: JacobiData, rows: int) -> Triangle:
     """
     if rows > 0 and len(jd.s) < rows - 1:
         raise ValueError("recurrence depth does not cover the requested rows")
-    table = []
-    if rows > 0:
-        table.append((Fraction(1),))
-    for n in range(1, rows):
-        above = table[n - 1]
-        row = []
-        for j in range(n + 1):
-            value = None
-            if 1 <= j:
-                value = above[j - 1]
-            if j <= n - 1:
-                part = jd.s[j] * above[j]
-                value = part if value is None else value + part
-            if j + 1 <= n - 1:
-                part = jd.t[j] * above[j + 1]
-                value = part if value is None else value + part
-            row.append(value)
-        table.append(tuple(row))
-    return Triangle(tuple(table))
+    return Triangle(tuple(map(tuple, _moment_rows(rows, jd.s, jd.t))))
 
 
 def moments_from_recurrence(jd: JacobiData, count: int) -> list:
@@ -191,26 +201,7 @@ def moments_from_recurrence(jd: JacobiData, count: int) -> list:
     """
     if count > 2 * jd.depth and count > 1:
         raise ValueError("count exceeds what the fitted depth determines")
-    if count <= 0:
-        return []
-    out = [Fraction(1)]
-    above = {0: Fraction(1)}
-    for n in range(1, count):
-        row = {}
-        for j in range(min(n, count - 1 - n) + 1):
-            value = None
-            if j - 1 in above:
-                value = above[j - 1]
-            if j in above:
-                part = jd.s[j] * above[j]
-                value = part if value is None else value + part
-            if j + 1 in above:
-                part = jd.t[j] * above[j + 1]
-                value = part if value is None else value + part
-            row[j] = value
-        out.append(row[0])
-        above = row
-    return out
+    return [row[0] for row in _moment_rows(count, jd.s, jd.t, horizon=count)]
 
 
 def aerated_triangle(weights, rows: int) -> Triangle:
@@ -221,22 +212,7 @@ def aerated_triangle(weights, rows: int) -> Triangle:
     """
     if rows > 2 and len(weights) < rows - 2:
         raise ValueError("weights do not cover the requested rows")
-    table = []
-    if rows > 0:
-        table.append((Fraction(1),))
-    for n in range(1, rows):
-        above = table[n - 1]
-        row = []
-        for k in range(n + 1):
-            value = None
-            if 1 <= k:
-                value = above[k - 1]
-            if k + 1 <= n - 1:
-                part = weights[k] * above[k + 1]
-                value = part if value is None else value + part
-            row.append(value if value is not None else Fraction(0))
-        table.append(tuple(row))
-    return Triangle(tuple(table))
+    return Triangle(tuple(map(tuple, _moment_rows(rows, None, weights))))
 
 
 def aeration_collapse(weights) -> JacobiData:
@@ -258,19 +234,7 @@ def aeration_collapse(weights) -> JacobiData:
 
 def poly_from_recurrence(jd: JacobiData, n: int, var: str = "x") -> Polynomial:
     """Monic degree-n polynomial p(n, x) from the recurrence."""
-    if n > jd.depth:
-        raise ValueError("recurrence depth does not cover n")
-    x = Polynomial.variable_poly(var)
-    older = Polynomial.one()
-    if n == 0:
-        return older
-    current = x - jd.s[0]
-    for k in range(2, n + 1):
-        current, older = (
-            (x - jd.s[k - 1]) * current - jd.t[k - 2] * older,
-            current,
-        )
-    return current
+    return ortho_value(jd, n, Polynomial.variable_poly(var))
 
 
 def ortho_value(jd: JacobiData, n: int, point):

@@ -23,9 +23,7 @@ from .sequences import (
     catalan_convolution,
     catalan_series,
     f_number,
-    fibonacci_number,
     fibonacci_poly,
-    lucas_number,
     lucas_poly,
     q_integer,
 )
@@ -64,64 +62,7 @@ def _sign(exponent: int) -> int:
 _T2 = Polynomial.monomial("t", 2)
 
 
-# -- closed forms, one function per formula id -----------------------
-
-
-def _cf_thm21_d0(n, r):
-    return _sign(binomial(n, 2)) * fibonacci_number(n + 1)
-
-
-def _cf_thm21_d1(n, r):
-    return _sign(binomial(n + 1, 2)) * fibonacci_number(2 * ((n + 2) // 2))
-
-
-def _cf_thm22_d0(n, r):
-    return _sign(binomial(n, 2)) * Fraction(2) ** (n - 1) * lucas_number(n)
-
-
-def _cf_thm22_d1(n, r):
-    return _sign(binomial(n + 1, 2)) * Fraction(2) ** n * lucas_number(2 * (n // 2) + 1)
-
-
-def _cf_thm23_d0(n, r):
-    m, j = divmod(n, 4)
-    fib = fibonacci_number
-    if j == 0:
-        return fib(2 * m + 1) * fib(2 * m + 2)
-    if j == 1:
-        return fib(2 * m + 2) ** 2
-    if j == 2:
-        return -(fib(2 * m + 2) ** 2)
-    return fib(2 * m + 2) * fib(2 * m + 3)
-
-
-def _cf_thm23_d1(n, r):
-    if n % 2:
-        return Fraction(0)
-    m, j = divmod(n, 4)
-    value = fibonacci_number(2 * m + 2) ** 2
-    return value if j == 0 else -value
-
-
-def _cf_thm24_d0(n, r):
-    m, j = divmod(n, 4)
-    luc = lucas_number
-    two = Fraction(2)
-    if j == 0:
-        return two ** (4 * m - 1) * luc(2 * m) * luc(2 * m + 1)
-    if j == 1:
-        return two ** (4 * m) * luc(2 * m + 1) ** 2
-    if j == 2:
-        return -(two ** (4 * m + 1)) * luc(2 * m + 1) ** 2
-    return two ** (4 * m + 2) * luc(2 * m + 1) * luc(2 * m + 2)
-
-
-def _cf_thm24_d1(n, r):
-    if n % 2:
-        return Fraction(0)
-    m, j = divmod(n, 4)
-    value = Fraction(2) ** (4 * m) * lucas_number(2 * m + 1) ** 2
-    return value if j == 0 else -4 * value
+# -- closed forms; thm2.x pins r of eq3.x (1 Fibonacci, 2 Lucas) ------
 
 
 def _cf_eq36(n, r):
@@ -249,6 +190,11 @@ def _cf_d8(n, r):
     return Fraction(-2, 45) * (m + 1) * (m + 2) ** 2 * (2 * m + 3) * tail
 
 
+def _pinned(fn, r: int):
+    """A parameterized closed form at one fixed r, for an id without r."""
+    return lambda n, _: fn(n, r)
+
+
 # -- the id table -----------------------------------------------------
 
 
@@ -280,28 +226,28 @@ _RECORDS = dict(
     [
         _rec("thm2.1-d0", "catalan|double-signed", 0, "THEOREM", None, 7,
              "signed-Catalan determinants give signed Fibonacci numbers",
-             _cf_thm21_d0),
+             _pinned(_cf_eq36, 1)),
         _rec("thm2.1-d1", "catalan|double-signed", 1, "THEOREM", None, 8,
              "shifted signed-Catalan determinants give even-index Fibonacci numbers",
-             _cf_thm21_d1),
+             _pinned(_cf_eq37, 1)),
         _rec("thm2.2-D0", "central-binomial|double-signed", 0, "THEOREM", None, 5,
              "signed central-binomial determinants give scaled Lucas numbers",
-             _cf_thm22_d0),
+             _pinned(_cf_eq36, 2)),
         _rec("thm2.2-D1", "central-binomial|double-signed", 1, "THEOREM", None, 6,
              "shifted signed central-binomial determinants give odd-index Lucas numbers",
-             _cf_thm22_d1),
+             _pinned(_cf_eq37, 2)),
         _rec("thm2.3-d0", "catalan|double-signed|aerate", 0, "THEOREM", None, 10,
              "aerated signed-Catalan determinants give Fibonacci products",
-             _cf_thm23_d0),
+             _pinned(_cf_eq310, 1)),
         _rec("thm2.3-d1", "catalan|double-signed|aerate", 1, "THEOREM", None, 8,
              "shifted aerated signed-Catalan determinants give Fibonacci squares",
-             _cf_thm23_d1),
+             _pinned(_cf_eq312, 1)),
         _rec("thm2.4-D0", "central-binomial|double-signed|aerate", 0, "THEOREM", None, 5,
              "aerated signed central-binomial determinants give scaled Lucas products",
-             _cf_thm24_d0),
+             _pinned(_cf_eq310, 2)),
         _rec("thm2.4-D1", "central-binomial|double-signed|aerate", 1, "THEOREM", None, 6,
              "shifted aerated signed central-binomial determinants give scaled Lucas squares",
-             _cf_thm24_d1),
+             _pinned(_cf_eq312, 2)),
         _rec("eq3.6", "u:r={r}|double-signed", 0, "THEOREM", (1, 2, 3), 10,
              "signed-u determinants give scaled f-numbers",
              _cf_eq36),
@@ -374,7 +320,13 @@ _RECORDS = dict(
     ]
 )
 
-_CONJECTURES = ("conj7.2", "conj7.5", "conj7.6", "conj7.7")
+# The parameters each conjecture scan reads; other ids read only n_max.
+_CONJECTURES = {
+    "conj7.2": ("k_max",),
+    "conj7.5": ("k_max",),
+    "conj7.6": ("n_max",),
+    "conj7.7": ("k_max", "n_max"),
+}
 
 
 def formula_ids() -> tuple:
@@ -675,11 +627,16 @@ def scan(id: str, k_max: int | None = None, n_max: int | None = None) -> Verific
 
     Mismatches become counterexample records and flip the verdict, but
     never raise.  Non-conjecture ids fall through to `verify` so the
-    observed single-sequence patterns can be scanned the same way.
+    observed single-sequence patterns can be scanned the same way.  A
+    parameter the id does not read raises ValueError.
     """
     record = _RECORDS.get(id)
     if record is None:
         raise ValueError(f"unknown formula id: {id}")
+    used = _CONJECTURES.get(id, ("n_max",))
+    for name, value in (("k_max", k_max), ("n_max", n_max)):
+        if value is not None and name not in used:
+            raise ValueError(f"{id} takes no {name} parameter")
     if id not in _CONJECTURES:
         return verify(id, n_max=n_max)
     if k_max is not None and k_max < 1:

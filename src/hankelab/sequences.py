@@ -10,7 +10,6 @@ transforms that only make sense for one kind are rejected at parse time.
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -78,23 +77,25 @@ def catalan_series(order: int) -> PowerSeries:
     return PowerSeries([catalan_number(n) for n in range(order + 1)])
 
 
-_U_LOCK = threading.Lock()
-_U_CACHE: dict[int, list[Fraction]] = {}
+def _u_prefix(r: int, count: int) -> list[Fraction]:
+    """u(0..count-1), from one inversion of 1 - r z C(z)."""
+    if not count:
+        return []
+    cat = catalan_series(count - 1)
+    denom = PowerSeries(
+        [Fraction(1)] + [-r * cat[k] for k in range(count - 1)]
+    )
+    values = list(denom.invert().coeffs)
+    _require_integers(values, f"u number list for r={r}")
+    return values
 
 
 def u_number(n: int, r: int) -> Fraction:
-    """Coefficients of 1 / (1 - r z C(z)) with C the Catalan series."""
-    with _U_LOCK:
-        have = _U_CACHE.get(r, [])
-        if n >= len(have):
-            cat = catalan_series(n)
-            denom = PowerSeries(
-                [Fraction(1)] + [-r * cat[k] for k in range(n)]
-            )
-            have = list(denom.invert().coeffs)
-            _require_integers(have, f"u number list for r={r}")
-            _U_CACHE[r] = have
-        return have[n]
+    """Coefficients of 1 / (1 - r z C(z)) with C the Catalan series.
+
+    Each call builds the prefix 0..n; `terms` builds a run at once.
+    """
+    return _u_prefix(r, n + 1)[n]
 
 
 def narayana_poly(n: int) -> Polynomial:
@@ -124,66 +125,65 @@ def narayana_series(order: int) -> PowerSeries:
     return PowerSeries(coeffs)
 
 
-_CONV_LOCK = threading.Lock()
-_CONV_CACHE: dict[int, list[Polynomial]] = {}
+def _conv_prefix(m: int, count: int) -> list[Polynomial]:
+    """conv_poly(0..count-1, m), from one power of the narayana series."""
+    if not count:
+        return []
+    full = narayana_series(count)
+    start = (full - PowerSeries.one(count)).shift_down(1)
+    series = start ** (m // 2)
+    if m % 2:
+        series = full * series  # a product keeps the shorter order
+    return [
+        c if isinstance(c, Polynomial) else Polynomial.constant(c)
+        for c in series.coeffs
+    ]
 
 
 def conv_poly(n: int, m: int) -> Polynomial:
-    """m-fold convolution analogue of the narayana polynomials."""
-    with _CONV_LOCK:
-        have = _CONV_CACHE.get(m, [])
-        if n >= len(have):
-            full = narayana_series(n + 1)
-            start = (full - PowerSeries.one(n + 1)).shift_down(1)
-            series = start ** (m // 2)
-            if m % 2:
-                series = full.truncate(n) * series.truncate(n)
-            have = [
-                c if isinstance(c, Polynomial) else Polynomial.constant(c)
-                for c in series.coeffs[: n + 1]
-            ]
-            _CONV_CACHE[m] = have
-        return have[n]
+    """m-fold convolution analogue of the narayana polynomials.
+
+    Each call builds the prefix 0..n; `terms` builds a run at once.
+    """
+    return _conv_prefix(m, n + 1)[n]
+
+
+def _seeded(a, b, count: int, x, s) -> list:
+    """w(0..count-1) of w(k) = x w(k-1) + s w(k-2), w(0) = a, w(1) = b."""
+    out = [a, b][:count]
+    while len(out) < count:
+        out.append(x * out[-1] + s * out[-2])
+    return out
+
+
+def _f_prefix(r: int, count: int) -> list[Fraction]:
+    """f(0..count-1) for f(0) = r, walked in Python ints."""
+    return [Fraction(v) for v in _seeded(r, 1, count, 1, 1)]
 
 
 def fibonacci_number(n: int) -> Fraction:
-    a, b = Fraction(0), Fraction(1)
-    for _ in range(n):
-        a, b = b, a + b
-    return a
+    return f_number(n, 0)
 
 
 def lucas_number(n: int) -> Fraction:
-    a, b = Fraction(2), Fraction(1)
-    for _ in range(n):
-        a, b = b, a + b
-    return a
+    return f_number(n, 2)
 
 
 def f_number(n: int, r: int) -> Fraction:
     """Fibonacci-like: f(0) = r, f(1) = 1, then the usual two-term sum."""
-    a, b = Fraction(r), Fraction(1)
-    for _ in range(n):
-        a, b = b, a + b
-    return a
+    return Fraction(_seeded(r, 1, n + 1, 1, 1)[n])
 
 
 def fibonacci_poly(n: int, x, s):
     """F(0) = 0, F(1) = 1, F(n) = x F(n-1) + s F(n-2); any exact ring."""
     zero = x * 0
-    a, b = zero, zero + 1
-    for _ in range(n):
-        a, b = b, x * b + s * a
-    return a
+    return _seeded(zero, zero + 1, n + 1, x, s)[n]
 
 
 def lucas_poly(n: int, x, s):
     """L(0) = 2, L(1) = x, L(n) = x L(n-1) + s L(n-2); any exact ring."""
     zero = x * 0
-    a, b = zero + 2, zero + x
-    for _ in range(n):
-        a, b = b, x * b + s * a
-    return a
+    return _seeded(zero + 2, zero + x, n + 1, x, s)[n]
 
 
 def q_integer(n: int, q):
@@ -263,13 +263,13 @@ _FAMILIES: dict[str, _Family] = {
         RATIONAL, None, _plain(lambda n: Fraction(math.comb(2 * n, n)))
     ),
     "catconv": _Family(RATIONAL, "r", _with_param(catalan_convolution)),
-    "u": _Family(RATIONAL, "r", _with_param(u_number)),
-    "fibonacci": _Family(RATIONAL, None, _plain(fibonacci_number)),
-    "lucas": _Family(RATIONAL, None, _plain(lucas_number)),
-    "f-number": _Family(RATIONAL, "r", _with_param(f_number)),
+    "u": _Family(RATIONAL, "r", _u_prefix),
+    "fibonacci": _Family(RATIONAL, None, lambda _, count: _f_prefix(0, count)),
+    "lucas": _Family(RATIONAL, None, lambda _, count: _f_prefix(2, count)),
+    "f-number": _Family(RATIONAL, "r", _f_prefix),
     "narayana": _Family(POLYNOMIAL, None, _plain(narayana_poly), "t"),
     "narayana-b": _Family(POLYNOMIAL, None, _plain(narayana_b_poly), "t"),
-    "convpoly": _Family(POLYNOMIAL, "m", _with_param(conv_poly), "t"),
+    "convpoly": _Family(POLYNOMIAL, "m", _conv_prefix, "t"),
 }
 
 _NO_ARG_TRANSFORMS = ("double-signed", "aerate", "abs", "consecutive-sum")

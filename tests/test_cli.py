@@ -119,6 +119,9 @@ def test_lgv_json(capsys):
     ["scan", "conj7.2", "--k-max", "0"],
     ["lgv", "--n", "9"],
     ["seq", "narayana|eval:x=2", "--terms", "1"],
+    ["scan", "thm7.3", "--k-max", "9"],
+    ["scan", "conj7.6", "--k-max", "9"],
+    ["verify", "conj7.2", "--n-max", "3"],
 ])
 def test_errors_exit_two_with_one_line(capsys, argv):
     code, out, err = _capture(capsys, argv)

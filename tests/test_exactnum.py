@@ -71,6 +71,33 @@ def test_polynomial_pow_matches_repeated_product():
             acc = acc * a
 
 
+@pytest.mark.parametrize("cls, base", [
+    (Polynomial, Polynomial((1, 2, 3), "t")),
+    (PowerSeries, PowerSeries([1, 2, 3, 4])),
+])
+def test_pow_takes_no_wasted_products(monkeypatch, cls, base):
+    # Squaring: one product per square, one per further set bit, and none
+    # by the unit or past the top bit.
+    calls = []
+    product = cls.__mul__
+
+    def counted(self, other):
+        calls.append(1)
+        return product(self, other)
+
+    monkeypatch.setattr(cls, "__mul__", counted)
+    expected = {0: 0, 1: 0, 2: 1, 3: 2, 4: 2, 5: 3, 8: 3}
+    unit = Polynomial.one() if cls is Polynomial else PowerSeries.one(base.order)
+    for e, products in expected.items():
+        calls.clear()
+        power = base ** e
+        assert len(calls) == products, e
+        acc = unit
+        for _ in range(e):
+            acc = product(acc, base)
+        assert power == acc
+
+
 def test_polynomial_divmod_and_exact_division():
     rng = random.Random(977)
     for _ in range(40):

@@ -1,0 +1,81 @@
+"""Golden CLI outputs: a refactor passes only if it changes no byte.
+
+`golden_cli.json` holds, for a fixed set of commands, the exit code and
+the exact stdout and stderr of `hankelab.cli.run`.  Regenerate it only
+when an output change is intended:
+
+    PYTHONPATH=src python tests/test_golden.py --record
+"""
+
+from __future__ import annotations
+
+import contextlib
+import io
+import json
+import sys
+from pathlib import Path
+
+import pytest
+
+from hankelab import registry
+from hankelab.cli import run
+
+FIXTURE = Path(__file__).with_name("golden_cli.json")
+
+SEQ_SPECS = (
+    "catalan", "central-binomial", "catconv:r=3", "u:r=3", "fibonacci",
+    "lucas", "f-number:r=3", "narayana", "narayana-b", "convpoly:m=5",
+)
+
+COMMANDS = (
+    [["verify", id] for id in registry.formula_ids()]
+    + [
+        ["verify", "eq3.6", "--format", "json"],
+        ["verify", "thm7.4", "--format", "json"],
+        ["verify", "conj7.5", "--format", "json"],
+    ]
+    + [["seq", spec, "--terms", "10"] for spec in SEQ_SPECS]
+    + [
+        ["seq", "u:r=2|double-signed", "--terms", "9", "--format", "json"],
+        ["seq", "convpoly:m=4", "--terms", "6", "--format", "json"],
+        ["hankel", "catalan|double-signed|aerate", "--n-max", "12",
+         "--offset", "1"],
+        ["hankel", "catconv:r=3", "--n-max", "12", "--format", "json"],
+        ["hankel", "narayana", "--n-max", "5"],
+        ["fit", "catalan|double-signed", "--depth", "6"],
+        ["fit", "narayana", "--depth", "4", "--format", "json"],
+        ["lgv", "--n", "3"],
+        ["seq", "nosuch", "--terms", "2"],
+        ["verify", "eq3.6", "--r", "0"],
+    ]
+)
+
+
+def _outcome(argv) -> dict:
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = run(list(argv))
+    return {"argv": list(argv), "exit": code,
+            "stdout": out.getvalue(), "stderr": err.getvalue()}
+
+
+@pytest.fixture(scope="module")
+def golden() -> list:
+    return json.loads(FIXTURE.read_text(encoding="utf-8"))
+
+
+def test_fixture_covers_the_command_set(golden):
+    assert [case["argv"] for case in golden] == COMMANDS
+
+
+@pytest.mark.parametrize("index", range(len(COMMANDS)),
+                         ids=[" ".join(argv) for argv in COMMANDS])
+def test_cli_output_is_unchanged(golden, index):
+    assert _outcome(COMMANDS[index]) == golden[index]
+
+
+if __name__ == "__main__":
+    if sys.argv[1:] != ["--record"]:
+        sys.exit("usage: python tests/test_golden.py --record")
+    cases = [_outcome(argv) for argv in COMMANDS]
+    FIXTURE.write_text(json.dumps(cases, indent=1) + "\n", encoding="utf-8")

@@ -135,6 +135,15 @@ def test_scan_parameter_validation():
         scan("conj7.2", k_max=0)
     with pytest.raises(ValueError):
         scan("conj7.6", n_max=-1)
+    # A parameter the id does not read is an error, not silently ignored.
+    with pytest.raises(ValueError, match="takes no k_max"):
+        scan("thm7.3", k_max=9)
+    with pytest.raises(ValueError, match="takes no k_max"):
+        scan("conj7.6", k_max=9)
+    with pytest.raises(ValueError, match="takes no n_max"):
+        verify("conj7.2", n_max=3)
+    with pytest.raises(ValueError, match="takes no n_max"):
+        scan("conj7.5", n_max=3)
 
 
 def test_scan_falls_through_for_plain_ids():

@@ -172,6 +172,9 @@ def test_fibonacci_family_specs():
     assert terms("fibonacci", 8) == [0, 1, 1, 2, 3, 5, 8, 13]
     assert terms("lucas", 6) == [2, 1, 3, 4, 7, 11]
     assert terms("f-number:r=3", 6) == [3, 1, 4, 5, 9, 14]
+    walked = terms("f-number:r=4", 40)
+    assert walked == [f_number(n, 4) for n in range(40)]
+    assert all(type(v) is Fraction for v in walked)
 
 
 def test_parse_spec_reports_positions():
@@ -248,3 +251,21 @@ def test_integrality_invariants_raise_arithmetic_error(monkeypatch):
         catalan_convolution(1, 1)
     with pytest.raises(ArithmeticError, match="internal error"):
         narayana_poly(2)
+
+
+def test_each_prefix_is_built_once(monkeypatch):
+    builds = []
+    series = sequences.narayana_series
+    invert = PowerSeries.invert
+    monkeypatch.setattr(sequences, "narayana_series",
+                        lambda order: builds.append("narayana") or series(order))
+    monkeypatch.setattr(PowerSeries, "invert",
+                        lambda self: builds.append("invert") or invert(self))
+    conv = terms("convpoly:m=5", 20)
+    assert builds == ["narayana"]
+    builds.clear()
+    u = terms("u:r=3", 20)
+    assert builds == ["invert"]
+    monkeypatch.undo()
+    assert conv == [conv_poly(n, 5) for n in range(20)]
+    assert u == [u_number(n, 3) for n in range(20)]
