@@ -47,6 +47,29 @@ COMMANDS = (
         ["lgv", "--n", "3"],
         ["seq", "nosuch", "--terms", "2"],
         ["verify", "eq3.6", "--r", "0"],
+        ["fit", "narayana", "--depth", "3"],
+        ["fit", "catalan|double-signed", "--depth", "4", "--format", "json"],
+        ["lgv", "--n", "2", "--format", "json"],
+        ["verify", "conj7.2", "--format", "json"],
+        ["scan", "conj7.5", "--k-max", "1"],
+        ["scan", "conj7.5", "--k-max", "1", "--format", "json"],
+        ["scan", "conj7.7", "--k-max", "2", "--n-max", "3"],
+        ["scan", "d-n-5", "--n-max", "12"],
+        ["verify", "eq3.10", "--r", "2", "--format", "json"],
+        ["seq", "catalan", "--terms", "0"],
+        ["seq", "catalan", "--terms", "0", "--format", "json"],
+    ]
+    # Error lines; where two parameters are bad these pin which one wins.
+    + [
+        ["verify", "conj7.2", "--n-max", "3", "--r", "1"],
+        ["verify", "thm7.3", "--n-max", "-1", "--r", "2"],
+        ["scan", "conj7.6", "--k-max", "0", "--n-max", "-1"],
+        ["scan", "conj7.7", "--k-max", "0", "--n-max", "-1"],
+        ["scan", "conj7.2", "--k-max", "0"],
+        ["scan", "nosuch"],
+        ["verify", "thm7.3", "--r", "2"],
+        ["verify", "eq3.6", "--n-max", "-1", "--r", "0"],
+        ["scan", "thm7.3", "--k-max", "9"],
     ]
 )
 

@@ -10,7 +10,7 @@ from fractions import Fraction
 
 import pytest
 
-from hankelab.exactnum import PowerSeries
+from hankelab.exactnum import Polynomial, PowerSeries
 from hankelab.orthopoly import fit_spec, ortho_value
 from hankelab.registry import (
     Counterexample,
@@ -248,3 +248,96 @@ def test_reports_are_deterministic():
     second = scan("conj7.7")
     assert first.csv_text() == second.csv_text()
     assert first.json_text() == second.json_text()
+
+
+# A made-up report that sets every optional field: k on some rows, r on
+# others, a note, a skip reason with no expected/got, a polynomial cell
+# and two counterexamples (one without k).  Its CSV and JSON are pinned
+# byte for byte, because no registry id reaches a mismatch.
+MADE_UP_CSV = (
+    "k,r,n,expected,got,status,note,reason\n"
+    "1,2,0,1,1,match,,\n"
+    '1,,1,"1 + t","t",mismatch,sum of indices 1 and 4,\n'
+    ",3,2,-2/3,5,mismatch,,\n"
+    "2,,3,,,skipped,,sum pattern needs k >= 2\n"
+    "verdict,mismatch\n"
+)
+
+MADE_UP_JSON = """\
+{
+  "id": "made-up",
+  "label": "CONJECTURE",
+  "params": {
+    "k_max": "2",
+    "periods": "3"
+  },
+  "entries": [
+    {
+      "k": 1,
+      "r": 2,
+      "n": 0,
+      "expected": "1",
+      "got": "1",
+      "status": "match"
+    },
+    {
+      "k": 1,
+      "n": 1,
+      "expected": "1 + t",
+      "got": "t",
+      "status": "mismatch",
+      "note": "sum of indices 1 and 4"
+    },
+    {
+      "r": 3,
+      "n": 2,
+      "expected": "-2/3",
+      "got": "5",
+      "status": "mismatch"
+    },
+    {
+      "k": 2,
+      "n": 3,
+      "expected": null,
+      "got": null,
+      "status": "skipped",
+      "reason": "sum pattern needs k >= 2"
+    }
+  ],
+  "counterexamples": [
+    {
+      "id": "made-up",
+      "n": 1,
+      "k": 1,
+      "expected": "1 + t",
+      "got": "t"
+    },
+    {
+      "id": "made-up",
+      "n": 2,
+      "k": null,
+      "expected": "-2/3",
+      "got": "5"
+    }
+  ],
+  "verdict": "mismatch"
+}
+"""
+
+
+def test_made_up_report_bytes():
+    entries = (
+        _compared(0, Fraction(1), Fraction(1), k=1, r=2),
+        _compared(1, Polynomial.parse("1 + t"), Polynomial.parse("t"), k=1,
+                  note="sum of indices 1 and 4"),
+        _compared(2, Fraction(-2, 3), Fraction(5), r=3),
+        ReportEntry(n=3, expected=None, got=None, status="skipped", k=2,
+                    reason="sum pattern needs k >= 2"),
+    )
+    report = VerificationReport(
+        id="made-up", label="CONJECTURE", params={"k_max": 2, "periods": 3},
+        entries=entries,
+        counterexamples=_gather_counterexamples("made-up", entries),
+    )
+    assert report.csv_text() == MADE_UP_CSV
+    assert report.json_text() == MADE_UP_JSON
