@@ -11,12 +11,11 @@ mismatched, 2 a parse or domain error (one line on stderr).
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 
 from . import registry
 from .hankel import (
-    csv_cell, det_exact, det_sequence, hankel_matrix, value_text, values_text,
+    csv_table, det_exact, det_sequence, hankel_matrix, json_table, values_text,
 )
 from .lattice import lgv_bruteforce
 from .orthopoly import fit_spec
@@ -41,20 +40,22 @@ def _cmd_seq(args) -> int:
     return 0
 
 
+def _write(table, fmt: str) -> None:
+    sys.stdout.write(table.json_text() if fmt == "json" else table.csv_text())
+
+
 def _cmd_hankel(args) -> int:
-    dets = det_sequence(args.spec, args.n_max, args.offset)
-    sys.stdout.write(dets.json_text() if args.format == "json" else dets.csv_text())
+    _write(det_sequence(args.spec, args.n_max, args.offset), args.format)
     return 0
 
 
 def _cmd_fit(args) -> int:
-    data = fit_spec(args.spec, args.depth)
-    sys.stdout.write(data.json_text() if args.format == "json" else data.csv_text())
+    _write(fit_spec(args.spec, args.depth), args.format)
     return 0
 
 
 def _write_report(report, fmt: str) -> int:
-    sys.stdout.write(report.json_text() if fmt == "json" else report.csv_text())
+    _write(report, fmt)
     return 0 if report.verdict == "match" else 1
 
 
@@ -72,17 +73,12 @@ def _cmd_lgv(args) -> int:
     family = lgv_bruteforce(args.n)
     det = det_exact(hankel_matrix("convpoly:m=3", args.n))
     status = "match" if family == det else "mismatch"
+    columns = ("n", "lgv", "det", "status")
     if args.format == "json":
-        payload = {
-            "n": args.n,
-            "lgv": value_text(family),
-            "det": value_text(det),
-            "status": status,
-        }
-        sys.stdout.write(json.dumps(payload, indent=2) + "\n")
+        row = (args.n, str(family), str(det), status)
+        sys.stdout.write(json_table(dict(zip(columns, row))))
     else:
-        row = f"{args.n},{csv_cell(family)},{csv_cell(det)},{status}"
-        sys.stdout.write("n,lgv,det,status\n" + row + "\n")
+        sys.stdout.write(csv_table(columns, [(args.n, family, det, status)]))
     return 0 if status == "match" else 1
 
 

@@ -25,7 +25,6 @@ __all__ = [
     "det_exact",
     "det_cofactor",
     "det_sequence",
-    "value_text",
     "csv_cell",
 ]
 
@@ -38,11 +37,6 @@ def _ring_one(spec: SequenceSpec):
     return Polynomial.one() if spec.kind == POLYNOMIAL else Fraction(1)
 
 
-def value_text(value) -> str:
-    """Canonical text for a determinant or sequence value."""
-    return str(value)
-
-
 def csv_cell(value) -> str:
     """CSV cell for a value; symbolic values are quoted."""
     if isinstance(value, (Polynomial, RationalFunction)):
@@ -50,12 +44,26 @@ def csv_cell(value) -> str:
     return str(value)
 
 
+def csv_table(header, rows, *trailer) -> str:
+    """CSV text: the header, one line per row, then the trailer rows.
+
+    A None cell is written empty; every other cell goes through csv_cell.
+    """
+    lines = (header, *rows, *trailer)
+    cells = (("" if c is None else csv_cell(c) for c in row) for row in lines)
+    return "".join(",".join(row) + "\n" for row in cells)
+
+
+def json_table(payload) -> str:
+    """JSON text of a payload whose exact values are already strings."""
+    return json.dumps(payload, indent=2) + "\n"
+
+
 def values_text(values, fmt: str) -> str:
     """An indexed value list as `n,value` CSV rows or a JSON list of texts."""
     if fmt == "json":
-        return json.dumps([value_text(v) for v in values], indent=2) + "\n"
-    lines = ["n,value"] + [f"{n},{csv_cell(v)}" for n, v in enumerate(values)]
-    return "\n".join(lines) + "\n"
+        return json_table([str(v) for v in values])
+    return csv_table(("n", "value"), enumerate(values))
 
 
 @dataclass(frozen=True)

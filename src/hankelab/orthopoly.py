@@ -13,12 +13,11 @@ collapse, and the moment-pencil determinant identity.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .exactnum import Polynomial, RationalFunction
-from .hankel import csv_cell, det_exact
+from .hankel import csv_table, det_exact, json_table
 from .sequences import parse_spec, terms
 
 __all__ = [
@@ -70,18 +69,13 @@ class JacobiData:
         return Fraction(1)
 
     def json_text(self) -> str:
-        data = {
-            "s": [str(v) for v in self.s],
-            "t": [str(v) for v in self.t],
-        }
-        return json.dumps(data, indent=2) + "\n"
+        texts = {"s": [str(v) for v in self.s], "t": [str(v) for v in self.t]}
+        return json_table(texts)
 
     def csv_text(self) -> str:
-        lines = ["k,s,t"]
-        for k, value in enumerate(self.s):
-            t_cell = csv_cell(self.t[k]) if k < len(self.t) else ""
-            lines.append(f"{k},{csv_cell(value)},{t_cell}")
-        return "\n".join(lines) + "\n"
+        rows = ((k, s, self.t[k] if k < len(self.t) else None)
+                for k, s in enumerate(self.s))
+        return csv_table(("k", "s", "t"), rows)
 
 
 @dataclass(frozen=True)
@@ -151,7 +145,8 @@ def fit_spec(spec, depth: int) -> JacobiData:
     """Fit straight from a sequence spec."""
     if isinstance(spec, str):
         spec = parse_spec(spec)
-    return fit_recurrence(terms(spec, 2 * depth), depth)
+    # At depth 0 the fit still reads a(0), so ask for at least one term.
+    return fit_recurrence(terms(spec, max(2 * depth, 1)), depth)
 
 
 def _moment_rows(rows: int, s, t, horizon: int | None = None):

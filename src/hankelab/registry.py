@@ -11,12 +11,11 @@ counterexamples instead of being treated as fatal.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .exactnum import Polynomial, PowerSeries, RationalFunction, binomial
-from .hankel import csv_cell, det_sequence, value_text
+from .hankel import csv_table, det_sequence, json_table
 from .lattice import dual_sum_closed
 from .orthopoly import JacobiData
 from .sequences import (
@@ -320,13 +319,25 @@ _RECORDS = dict(
     ]
 )
 
-# The parameters each conjecture scan reads; other ids read only n_max.
-_CONJECTURES = {
-    "conj7.2": ("k_max",),
-    "conj7.5": ("k_max",),
-    "conj7.6": ("n_max",),
-    "conj7.7": ("k_max", "n_max"),
-}
+
+def _record(id: str) -> _Record:
+    record = _RECORDS.get(id)
+    if record is None:
+        raise ValueError(f"unknown formula id: {id}")
+    return record
+
+
+def _r_values(info: FormulaInfo, r: int | None) -> tuple:
+    """The r values to check: (None,) without r, r alone, or the domain."""
+    if info.r_domain is None:
+        if r is not None:
+            raise ValueError(f"{info.id} takes no r parameter")
+        return (None,)
+    if r is None:
+        return info.r_domain
+    if r < 1:
+        raise ValueError("r must be >= 1")
+    return (r,)
 
 
 def formula_ids() -> tuple:
@@ -334,29 +345,19 @@ def formula_ids() -> tuple:
 
 
 def formula_info(id: str) -> FormulaInfo:
-    record = _RECORDS.get(id)
-    if record is None:
-        raise ValueError(f"unknown formula id: {id}")
-    return record.info
+    return _record(id).info
 
 
 def closed_form(id: str, n: int, r: int | None = None):
     """Predicted determinant value for one index of a non-conjecture id."""
-    record = _RECORDS.get(id)
-    if record is None:
-        raise ValueError(f"unknown formula id: {id}")
+    record = _record(id)
     if record.fn is None:
         raise ValueError(f"{id} is scanned as a pattern, not per index")
     if n < 0:
         raise ValueError("index must be >= 0")
-    info = record.info
-    if info.r_domain is None:
-        if r is not None:
-            raise ValueError(f"{id} takes no r parameter")
-    elif r is None:
+    if record.info.r_domain is not None and r is None:
         raise ValueError(f"{id} needs an r parameter")
-    elif r < 1:
-        raise ValueError("r must be >= 1")
+    _r_values(record.info, r)
     return record.fn(n, r)
 
 
@@ -373,6 +374,17 @@ class ReportEntry:
     r: int | None = None
     note: str | None = None
     reason: str | None = None
+
+
+# Report columns in output order.  The optional ones appear in the CSV
+# only when some entry sets them, and in a JSON entry only when it does.
+_COLUMNS = ("k", "r", "n", "expected", "got", "status", "note", "reason")
+_OPTIONAL = ("k", "r", "note", "reason")
+
+
+def _json_value(column: str, value):
+    """Exact values are JSON strings; indices, labels and null stay as-is."""
+    return str(value) if column in ("expected", "got") and value is not None else value
 
 
 @dataclass(frozen=True)
@@ -398,74 +410,31 @@ class VerificationReport:
         return "mismatch" if bad else "match"
 
     def json_text(self) -> str:
-        def entry_dict(e: ReportEntry) -> dict:
-            d = {}
-            if e.k is not None:
-                d["k"] = e.k
-            if e.r is not None:
-                d["r"] = e.r
-            d["n"] = e.n
-            d["expected"] = None if e.expected is None else value_text(e.expected)
-            d["got"] = None if e.got is None else value_text(e.got)
-            d["status"] = e.status
-            if e.note is not None:
-                d["note"] = e.note
-            if e.reason is not None:
-                d["reason"] = e.reason
-            return d
-
-        payload = {
+        entries = [
+            {c: _json_value(c, getattr(e, c)) for c in _COLUMNS
+             if c not in _OPTIONAL or getattr(e, c) is not None}
+            for e in self.entries
+        ]
+        counterexamples = [
+            {**vars(c), "expected": str(c.expected), "got": str(c.got)}
+            for c in self.counterexamples
+        ]
+        return json_table({
             "id": self.id,
             "label": self.label,
             "params": {key: str(val) for key, val in self.params.items()},
-            "entries": [entry_dict(e) for e in self.entries],
-            "counterexamples": [
-                {
-                    "id": c.id,
-                    "n": c.n,
-                    "k": c.k,
-                    "expected": value_text(c.expected),
-                    "got": value_text(c.got),
-                }
-                for c in self.counterexamples
-            ],
+            "entries": entries,
+            "counterexamples": counterexamples,
             "verdict": self.verdict,
-        }
-        return json.dumps(payload, indent=2) + "\n"
+        })
 
     def csv_text(self) -> str:
-        use_k = any(e.k is not None for e in self.entries)
-        use_r = any(e.r is not None for e in self.entries)
-        use_note = any(e.note is not None for e in self.entries)
-        use_reason = any(e.reason is not None for e in self.entries)
-        header = []
-        if use_k:
-            header.append("k")
-        if use_r:
-            header.append("r")
-        header += ["n", "expected", "got", "status"]
-        if use_note:
-            header.append("note")
-        if use_reason:
-            header.append("reason")
-        lines = [",".join(header)]
-        for e in self.entries:
-            row = []
-            if use_k:
-                row.append("" if e.k is None else str(e.k))
-            if use_r:
-                row.append("" if e.r is None else str(e.r))
-            row.append(str(e.n))
-            row.append("" if e.expected is None else csv_cell(e.expected))
-            row.append("" if e.got is None else csv_cell(e.got))
-            row.append(e.status)
-            if use_note:
-                row.append(e.note or "")
-            if use_reason:
-                row.append(e.reason or "")
-            lines.append(",".join(row))
-        lines.append(f"verdict,{self.verdict}")
-        return "\n".join(lines) + "\n"
+        columns = [
+            c for c in _COLUMNS
+            if c not in _OPTIONAL or any(getattr(e, c) is not None for e in self.entries)
+        ]
+        rows = ([getattr(e, c) for c in columns] for e in self.entries)
+        return csv_table(columns, rows, ("verdict", self.verdict))
 
 
 def _compared(n, expected, got, k=None, r=None, note=None) -> ReportEntry:
@@ -489,30 +458,18 @@ def verify(id: str, n_max: int | None = None, r: int | None = None) -> Verificat
     an r parameter, a given r is checked alone and r=None walks the
     documented domain.  Conjecture ids are forwarded to `scan`.
     """
-    record = _RECORDS.get(id)
-    if record is None:
-        raise ValueError(f"unknown formula id: {id}")
-    if id in _CONJECTURES:
-        if r is not None:
-            raise ValueError(f"{id} takes no r parameter")
-        return scan(id, n_max=n_max)
+    record = _record(id)
     info = record.info
+    if id in _SCANS:
+        _r_values(info, r)
+        return scan(id, n_max=n_max)
     top = info.default_n_max if n_max is None else n_max
     if top < 0:
         raise ValueError("n_max must be >= 0")
-    if info.r_domain is None:
-        if r is not None:
-            raise ValueError(f"{id} takes no r parameter")
-        r_values: tuple = (None,)
-        params = {"n_max": top}
-    else:
-        if r is None:
-            r_values = info.r_domain
-        elif r < 1:
-            raise ValueError("r must be >= 1")
-        else:
-            r_values = (r,)
-        params = {"n_max": top, "r": ",".join(str(v) for v in r_values)}
+    r_values = _r_values(info, r)
+    params = {"n_max": top}
+    if info.r_domain is not None:
+        params["r"] = ",".join(str(v) for v in r_values)
     entries = []
     for rv in r_values:
         spec = info.spec_template if rv is None else info.spec_template.format(r=rv)
@@ -527,7 +484,7 @@ def verify(id: str, n_max: int | None = None, r: int | None = None) -> Verificat
 # -- conjecture scans --------------------------------------------------
 
 
-def _scan_odd_residues(k_max: int) -> list:
+def _scan_odd_residues(k_max: int = 3) -> tuple:
     entries = []
     for k in range(1, k_max + 1):
         period = 2 * k + 1
@@ -552,10 +509,10 @@ def _scan_odd_residues(k_max: int) -> list:
                 _compared(low, expected, dets[low] + dets[high], k=k,
                           note=f"sum of indices {low} and {high}")
             )
-    return entries
+    return entries, {"k_max": k_max, "periods": 2}
 
 
-def _scan_even_residues(k_max: int) -> list:
+def _scan_even_residues(k_max: int = 4) -> tuple:
     entries = []
     for k in range(1, k_max + 1):
         top = 4 * k + 2 if k >= 2 else 2 * k + 1
@@ -577,7 +534,7 @@ def _scan_even_residues(k_max: int) -> list:
                 _compared(low, expected, dets[low] + dets[high], k=k,
                           note=f"sum of indices {low} and {high}")
             )
-    return entries
+    return entries, {"k_max": k_max, "periods": 3}
 
 
 def _conj76_expected(n: int) -> Polynomial:
@@ -597,15 +554,16 @@ def _conj76_expected(n: int) -> Polynomial:
     return lead * q_integer(3, Polynomial.variable_poly("t")) * ripple
 
 
-def _scan_conv6(n_max: int) -> list:
+def _scan_conv6(n_max: int) -> tuple:
     dets = det_sequence("convpoly:m=6", n_max)
-    return [
+    entries = [
         _compared(n, _conj76_expected(n), dets[n], k=3)
         for n in range(n_max + 1)
     ]
+    return entries, {"n_max": n_max}
 
 
-def _scan_conv_even(k_max: int, n_max: int) -> list:
+def _scan_conv_even(n_max: int, k_max: int = 3) -> tuple:
     entries = []
     for k in range(1, k_max + 1):
         dets = det_sequence(f"convpoly:m={2 * k}", k * n_max + 1)
@@ -619,7 +577,18 @@ def _scan_conv_even(k_max: int, n_max: int) -> list:
             entries.append(_compared(k * n, expected, dets[k * n], k=k))
             shifted = expected * Polynomial.monomial("t", k * n)
             entries.append(_compared(k * n + 1, shifted, dets[k * n + 1], k=k))
-    return entries
+    return entries, {"k_max": k_max, "n_max": n_max}
+
+
+# Each conjecture scan and the parameters it reads; other ids read only
+# n_max.  An unset k_max takes the scan's default, an unset n_max the
+# id's documented range.
+_SCANS = {
+    "conj7.2": (_scan_odd_residues, ("k_max",)),
+    "conj7.5": (_scan_even_residues, ("k_max",)),
+    "conj7.6": (_scan_conv6, ("n_max",)),
+    "conj7.7": (_scan_conv_even, ("k_max", "n_max")),
+}
 
 
 def scan(id: str, k_max: int | None = None, n_max: int | None = None) -> VerificationReport:
@@ -630,36 +599,21 @@ def scan(id: str, k_max: int | None = None, n_max: int | None = None) -> Verific
     observed single-sequence patterns can be scanned the same way.  A
     parameter the id does not read raises ValueError.
     """
-    record = _RECORDS.get(id)
-    if record is None:
-        raise ValueError(f"unknown formula id: {id}")
-    used = _CONJECTURES.get(id, ("n_max",))
+    record = _record(id)
+    walk, reads = _SCANS.get(id, (None, ("n_max",)))
     for name, value in (("k_max", k_max), ("n_max", n_max)):
-        if value is not None and name not in used:
+        if value is not None and name not in reads:
             raise ValueError(f"{id} takes no {name} parameter")
-    if id not in _CONJECTURES:
+    if walk is None:
         return verify(id, n_max=n_max)
     if k_max is not None and k_max < 1:
         raise ValueError("k_max must be >= 1")
-    if n_max is not None and n_max < 0:
+    top = record.info.default_n_max if n_max is None else n_max
+    if top < 0:
         raise ValueError("n_max must be >= 0")
-    if id == "conj7.2":
-        kk = 3 if k_max is None else k_max
-        entries = _scan_odd_residues(kk)
-        params = {"k_max": kk, "periods": 2}
-    elif id == "conj7.5":
-        kk = 4 if k_max is None else k_max
-        entries = _scan_even_residues(kk)
-        params = {"k_max": kk, "periods": 3}
-    elif id == "conj7.6":
-        top = 8 if n_max is None else n_max
-        entries = _scan_conv6(top)
-        params = {"n_max": top}
-    else:
-        kk = 3 if k_max is None else k_max
-        top = 2 if n_max is None else n_max
-        entries = _scan_conv_even(kk, top)
-        params = {"k_max": kk, "n_max": top}
+    given = {"k_max": k_max, "n_max": top}
+    kwargs = {name: given[name] for name in reads if given[name] is not None}
+    entries, params = walk(**kwargs)
     return VerificationReport(
         id=id,
         label="CONJECTURE",

@@ -70,6 +70,20 @@ def test_fit_json(capsys):
     assert json.loads(out) == {"s": ["1", "2", "2"], "t": ["1", "1"]}
 
 
+def test_fit_depth_zero_is_an_empty_table(capsys):
+    code, out, err = _capture(capsys, ["fit", "catalan", "--depth", "0"])
+    assert (code, out, err) == (0, "k,s,t\n", "")
+    code, out, err = _capture(
+        capsys, ["fit", "catalan", "--depth", "0", "--format", "json"])
+    assert (code, err) == (0, "")
+    assert out == '{\n  "s": [],\n  "t": []\n}\n'
+
+
+def test_fit_negative_depth_names_the_depth(capsys):
+    code, out, err = _capture(capsys, ["fit", "catalan", "--depth", "-1"])
+    assert (code, out, err) == (2, "", "error: depth must be >= 0\n")
+
+
 def test_verify_match_exits_zero(capsys):
     code, out, err = _capture(capsys, ["verify", "thm5.1", "--n-max", "12"])
     assert code == 0 and err == ""

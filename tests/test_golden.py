@@ -9,6 +9,7 @@ when an output change is intended:
 
 from __future__ import annotations
 
+import argparse
 import contextlib
 import io
 import json
@@ -18,7 +19,7 @@ from pathlib import Path
 import pytest
 
 from hankelab import registry
-from hankelab.cli import run
+from hankelab.cli import build_parser, run
 
 FIXTURE = Path(__file__).with_name("golden_cli.json")
 
@@ -89,6 +90,17 @@ def golden() -> list:
 
 def test_fixture_covers_the_command_set(golden):
     assert [case["argv"] for case in golden] == COMMANDS
+
+
+def test_every_subcommand_is_pinned_in_both_formats(golden):
+    (sub,) = [a for a in build_parser()._actions
+              if isinstance(a, argparse._SubParsersAction)]
+    pinned = {
+        (case["argv"][0], "json" if "json" in case["argv"] else "csv")
+        for case in golden if case["exit"] == 0
+    }
+    wanted = {(name, fmt) for name in sub.choices for fmt in ("csv", "json")}
+    assert wanted - pinned == set()
 
 
 @pytest.mark.parametrize("index", range(len(COMMANDS)),

@@ -14,11 +14,12 @@ from hankelab.exactnum import Polynomial
 from hankelab.hankel import (
     _leading_minors,
     csv_cell,
+    csv_table,
     det_cofactor,
     det_exact,
     det_sequence,
     hankel_matrix,
-    value_text,
+    json_table,
 )
 from hankelab.sequences import terms
 
@@ -200,4 +201,11 @@ def test_det_sequence_json_is_string_list():
 def test_csv_cell_quoting_rule():
     assert csv_cell(Fraction(-2, 3)) == "-2/3"
     assert csv_cell(Polynomial.parse("1 + t")) == '"1 + t"'
-    assert value_text(Fraction(5)) == "5"
+
+
+def test_table_writers():
+    rows = [(0, Fraction(1, 2), None), (1, Polynomial.parse("t"), "x")]
+    text = csv_table(("k", "s", "t"), rows, ("verdict", "match"))
+    assert text == 'k,s,t\n0,1/2,\n1,"t",x\nverdict,match\n'
+    assert csv_table(("n", "value"), []) == "n,value\n"
+    assert json_table({"s": [], "n": 2}) == '{\n  "s": [],\n  "n": 2\n}\n'

@@ -83,6 +83,13 @@ def test_fit_validations():
     assert empty.s == () and empty.t == ()
 
 
+def test_fit_spec_at_depth_zero_and_below():
+    empty = fit_spec("catalan", 0)
+    assert empty.s == () and empty.t == ()
+    with pytest.raises(ValueError, match="depth must be >= 0"):
+        fit_spec("catalan", -1)
+
+
 def test_fit_zero_minor_reports_order():
     with pytest.raises(ZeroHankelMinorError) as info:
         fit_spec("catalan|double-signed|abs", 3)

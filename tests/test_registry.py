@@ -88,6 +88,27 @@ def test_verify_rejects_bad_arguments():
         formula_info("nonsense")
 
 
+# Past the documented domain: the two r values above it, as extra evidence.
+PAST_R_DOMAIN = [
+    (id, max(formula_info(id).r_domain) + step)
+    for id in ALL_IDS if formula_info(id).r_domain is not None
+    for step in (1, 2)
+]
+
+
+@pytest.mark.parametrize("id, r", PAST_R_DOMAIN,
+                         ids=[f"{id}-r{r}" for id, r in PAST_R_DOMAIN])
+def test_verify_past_the_r_domain(id, r):
+    report = verify(id, r=r)
+    assert report.params["r"] == str(r)
+    assert report.verdict == "match"
+
+
+def test_past_r_domain_covers_every_parameterized_id():
+    assert len(PAST_R_DOMAIN) == 16
+    assert ("eq3.6", 5) in PAST_R_DOMAIN and ("eq3.12", 4) in PAST_R_DOMAIN
+
+
 def test_closed_form_spot_values():
     assert [closed_form("thm7.3", n) for n in range(7)] == [1, 1, -2, -2, 3, 3, -4]
     assert closed_form("eq3.6", 2, 2) == -6
