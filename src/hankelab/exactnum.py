@@ -1,10 +1,12 @@
 """Exact arithmetic building blocks: polynomials over Q, rational functions,
 and truncated power series.
 
-Coefficients are `fractions.Fraction` throughout.  A polynomial coefficient
-may also be a `RationalFunction` in some *other* variable, which is how
-mixed values (say, polynomials in x whose coefficients live in Q(t)) are
-handled without a full multivariate layer.
+Polynomial coefficients are `fractions.Fraction` at the API edge.  Products,
+divisions and gcds clear them to Python ints over one common denominator and
+build `Fraction`s only for the result.  A coefficient may also be a
+`RationalFunction` in some *other* variable, which is how mixed values (say,
+polynomials in x whose coefficients live in Q(t)) are handled without a full
+multivariate layer; such polynomials take the same loops on those objects.
 """
 
 from __future__ import annotations
@@ -234,11 +236,12 @@ class Polynomial:
         var = self._join(self.var, rhs.var)
         if not self.coeffs or not rhs.coeffs:
             return Polynomial((), var)
-        out = [Fraction(0)] * (len(self.coeffs) + len(rhs.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            for j, b in enumerate(rhs.coeffs):
-                out[i + j] = out[i + j] + a * b
-        return Polynomial(out, var)
+        (a, b), den = _cleared(self.coeffs, rhs.coeffs)
+        out = [0] * (len(a) + len(b) - 1)
+        for i, x in enumerate(a):
+            for j, y in enumerate(b):
+                out[i + j] += x * y
+        return _over(out, den * den, var)
 
     __rmul__ = __mul__
 
@@ -259,21 +262,22 @@ class Polynomial:
         if rhs is None or not rhs:
             raise ZeroDivisionError("polynomial division by zero")
         var = self._join(self.var, rhs.var)
-        rem = list(self.coeffs)
-        div = rhs.coeffs
-        inv_lead = _reciprocal(div[-1])
-        quot = [Fraction(0)] * max(len(rem) - len(div) + 1, 0)
+        # Over a common denominator D, a/b leaves the quotient of D*a by D*b
+        # and D times the remainder.
+        (rem, div), den = _cleared(self.coeffs, rhs.coeffs)
+        rem, lead = list(rem), div[-1]
+        inv_lead = _reciprocal(lead)
+        quot = [0] * max(len(rem) - len(div) + 1, 0)
         while len(rem) >= len(div):
-            if not rem[-1]:
-                rem.pop()
+            top = rem.pop()
+            if not top:
                 continue
-            factor = rem[-1] * inv_lead
-            shift = len(rem) - len(div)
-            quot[shift] = factor
-            for i, c in enumerate(div):
-                rem[shift + i] = rem[shift + i] - factor * c
-            rem.pop()
-        return Polynomial(quot, var), Polynomial(rem, var)
+            shift = len(rem) + 1 - len(div)
+            exact = isinstance(lead, int) and not top % lead
+            quot[shift] = factor = top // lead if exact else top * inv_lead
+            for i in range(len(div) - 1):
+                rem[shift + i] -= factor * div[i]
+        return Polynomial(quot, var), _over(rem, den, var)
 
     def exact_div(self, other) -> "Polynomial":
         quot, rem = divmod(self, other)
@@ -355,16 +359,19 @@ def _reciprocal(value):
     raise TypeError(f"no reciprocal for {value!r}")
 
 
-def _fraction_int_form(coeffs):
-    """Scale Fraction coeffs to a primitive integer list (may be empty)."""
-    if not coeffs:
-        return []
-    scale = math.lcm(*(c.denominator for c in coeffs))
-    ints = [int(c * scale) for c in coeffs]
-    content = math.gcd(*ints)
-    if content > 1:
-        ints = [c // content for c in ints]
-    return ints
+def _cleared(*parts):
+    """Coefficient tuples as integer lists over one common denominator, with
+    that denominator.  A RationalFunction coefficient leaves them as they
+    are, over 1."""
+    if not all(isinstance(c, Fraction) for part in parts for c in part):
+        return parts, 1
+    den = math.lcm(*(c.denominator for part in parts for c in part))
+    return [[c.numerator * (den // c.denominator) for c in part] for part in parts], den
+
+
+def _over(coeffs, den, var):
+    """The polynomial with coefficients coeffs / den."""
+    return Polynomial(coeffs if den == 1 else [Fraction(c, den) for c in coeffs], var)
 
 
 def _int_primitive(coeffs):
@@ -410,16 +417,14 @@ def poly_gcd(a: Polynomial, b: Polynomial) -> Polynomial:
     for c in a.coeffs + b.coeffs:
         if not isinstance(c, Fraction):
             raise TypeError("poly_gcd needs plain rational coefficients")
-    u = _fraction_int_form(list(a.coeffs))
-    v = _fraction_int_form(list(b.coeffs))
+    u, v = (_int_primitive(part) for part in _cleared(a.coeffs, b.coeffs)[0])
     if len(u) < len(v):
         u, v = v, u
     while v:
         u, v = v, _int_primitive(_int_pseudo_rem(u, v))
     if not u:
         return Polynomial.zero()
-    lead = Fraction(u[-1])
-    return Polynomial([Fraction(c) / lead for c in u], var)
+    return _over(u, u[-1], var)
 
 
 class RationalFunction:
@@ -436,8 +441,8 @@ class RationalFunction:
         if not num:
             num, den = Polynomial.zero(), Polynomial.one()
         else:
-            g = poly_gcd(num, den)
-            if g.degree > 0:
+            # The monic gcd with a nonzero constant denominator is 1.
+            if den.degree > 0 and (g := poly_gcd(num, den)).degree > 0:
                 num = num.exact_div(g)
                 den = den.exact_div(g)
             lead = den.coeffs[-1]

@@ -38,9 +38,12 @@ def _ring_one(spec: SequenceSpec):
 
 
 def csv_cell(value) -> str:
-    """CSV cell for a value; symbolic values are quoted."""
+    """CSV cell for a value; symbolic values are quoted, and so is text with
+    a comma, quote or line break (inner quotes doubled, as in RFC 4180)."""
     if isinstance(value, (Polynomial, RationalFunction)):
         return f'"{value}"'
+    if isinstance(value, str) and any(ch in value for ch in ',"\r\n'):
+        return '"' + value.replace('"', '""') + '"'
     return str(value)
 
 

@@ -416,7 +416,7 @@ class VerificationReport:
             for e in self.entries
         ]
         counterexamples = [
-            {**vars(c), "expected": str(c.expected), "got": str(c.got)}
+            {key: _json_value(key, val) for key, val in vars(c).items()}
             for c in self.counterexamples
         ]
         return json_table({

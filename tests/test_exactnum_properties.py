@@ -1,0 +1,129 @@
+"""Differential properties of polynomial arithmetic over Q.
+
+Products, division and gcds of rational-coefficient polynomials run on
+Python ints over a common denominator; these properties hold them to the
+plain `Fraction` loops, written out here, on coefficients, variable and
+text.  A polynomial with `RationalFunction` coefficients runs the same
+loops on its coefficient objects, which the last test pins.
+"""
+
+from __future__ import annotations
+
+from fractions import Fraction
+
+from hypothesis import given
+from hypothesis import strategies as st
+
+from hankelab.exactnum import Polynomial, RationalFunction, poly_gcd
+
+DENOMINATORS = st.integers(-12, 12).filter(bool)
+COEFFICIENTS = st.one_of(
+    st.just(Fraction(0)),
+    st.builds(Fraction, st.integers(-60, 60), DENOMINATORS),
+    st.builds(Fraction, st.integers(-(10**20), 10**20), st.just(1)),
+)
+POLYS = st.lists(COEFFICIENTS, max_size=7).map(lambda cs: Polynomial(cs, "t"))
+NONZERO = POLYS.filter(bool)
+
+
+def ref_mul(a, b):
+    if not a or not b:
+        return []
+    out = [Fraction(0)] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] = out[i + j] + x * y
+    return out
+
+
+def ref_divmod(a, b):
+    rem = list(a)
+    inv_lead = b[-1].reciprocal() if isinstance(b[-1], RationalFunction) else 1 / b[-1]
+    quot = [Fraction(0)] * max(len(rem) - len(b) + 1, 0)
+    while len(rem) >= len(b):
+        if not rem[-1]:
+            rem.pop()
+            continue
+        factor = rem[-1] * inv_lead
+        shift = len(rem) - len(b)
+        quot[shift] = factor
+        for i, c in enumerate(b):
+            rem[shift + i] = rem[shift + i] - factor * c
+        rem.pop()
+    return quot, rem
+
+
+def trimmed(coeffs):
+    coeffs = list(coeffs)
+    while coeffs and not coeffs[-1]:
+        coeffs.pop()
+    return coeffs
+
+
+def ref_monic_gcd(a, b):
+    a, b = trimmed(a), trimmed(b)
+    while b:
+        a, b = b, trimmed(ref_divmod(a, b)[1])
+    return [c / a[-1] for c in a]
+
+
+def assert_same(poly, coeffs, var="t"):
+    expected = Polynomial(coeffs, var)
+    assert poly.coeffs == expected.coeffs
+    assert [type(c) for c in poly.coeffs] == [type(c) for c in expected.coeffs]
+    assert poly.var == expected.var
+    assert str(poly) == str(expected)
+
+
+@given(POLYS, POLYS)
+def test_product_matches_fraction_loop(a, b):
+    assert_same(a * b, ref_mul(a.coeffs, b.coeffs))
+
+
+@given(POLYS, NONZERO)
+def test_divmod_matches_fraction_loop(a, b):
+    quot, rem = divmod(a, b)
+    ref_quot, ref_rem = ref_divmod(a.coeffs, b.coeffs)
+    assert_same(quot, ref_quot)
+    assert_same(rem, ref_rem)
+
+
+@given(POLYS, NONZERO)
+def test_exact_division_undoes_a_product(a, b):
+    assert_same((a * b).exact_div(b), a.coeffs)
+
+
+@given(POLYS, POLYS, NONZERO)
+def test_gcd_matches_euclid_over_q(a, b, common):
+    a, b = a * common, b * common
+    assert_same(poly_gcd(a, b), ref_monic_gcd(a.coeffs, b.coeffs))
+
+
+@given(POLYS, NONZERO, NONZERO)
+def test_rational_function_is_reduced_and_monic(num, den, common):
+    for top, bottom in ((num, den), (num * common, den * common)):
+        rf = RationalFunction(top, bottom)
+        if not top:
+            assert_same(rf.num, [])
+            assert_same(rf.den, [1])
+            continue
+        g = ref_monic_gcd(top.coeffs, bottom.coeffs)
+        ref_num = ref_divmod(top.coeffs, g)[0]
+        ref_den = ref_divmod(bottom.coeffs, g)[0]
+        lead = ref_den[-1]
+        assert_same(rf.num, [c / lead for c in ref_num])
+        assert_same(rf.den, [c / lead for c in ref_den])
+
+
+def test_rational_function_coefficients_take_the_fraction_loop():
+    over_one_plus_t = RationalFunction.parse("1 / (1 + t)")
+    t_over_one_minus_t = RationalFunction.parse("t / (1 - t)")
+    a = Polynomial([over_one_plus_t, Fraction(2), t_over_one_minus_t], "x")
+    b = Polynomial([Fraction(1, 3), over_one_plus_t], "x")
+    assert_same(a * b, ref_mul(a.coeffs, b.coeffs), "x")
+    quot, rem = divmod(a, b)
+    ref_quot, ref_rem = ref_divmod(a.coeffs, b.coeffs)
+    assert_same(quot, ref_quot, "x")
+    assert_same(rem, ref_rem, "x")
+    assert_same((a * b).exact_div(b), a.coeffs, "x")
+    assert any(isinstance(c, RationalFunction) for c in (a * b).coeffs)

@@ -209,3 +209,5 @@ def test_table_writers():
     assert text == 'k,s,t\n0,1/2,\n1,"t",x\nverdict,match\n'
     assert csv_table(("n", "value"), []) == "n,value\n"
     assert json_table({"s": [], "n": 2}) == '{\n  "s": [],\n  "n": 2\n}\n'
+    assert csv_table(("n", "note"), [(1, "sum of 1, 2")]) == 'n,note\n1,"sum of 1, 2"\n'
+    assert csv_table(("note",), [('say "x"',), ("a\nb",)]) == 'note\n"say ""x"""\n"a\nb"\n'

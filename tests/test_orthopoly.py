@@ -7,6 +7,7 @@ from fractions import Fraction
 
 import pytest
 
+from hankelab import exactnum
 from hankelab.exactnum import Polynomial, RationalFunction
 from hankelab.hankel import det_cofactor, det_exact, hankel_matrix
 from hankelab.orthopoly import (
@@ -70,6 +71,20 @@ def test_fit_narayana_b():
     assert all(v == Polynomial.parse("1 + t") for v in data.s)
     assert data.t[0] == Polynomial.parse("2*t")
     assert all(v == Polynomial.parse("t") for v in data.t[1:])
+
+
+def test_fit_over_q_of_t_runs_no_gcd_for_constant_denominators(monkeypatch):
+    calls = []
+    gcd = exactnum.poly_gcd
+    monkeypatch.setattr(exactnum, "poly_gcd",
+                        lambda a, b: calls.append(1) or gcd(a, b))
+    data = fit_spec("narayana", 20)
+    monkeypatch.undo()
+    # Every Jacobi parameter is a polynomial in t, so almost every
+    # RationalFunction built on the way has a constant denominator.
+    assert len(calls) < 100
+    assert data.s == (1,) + (Polynomial.parse("1 + t"),) * 19
+    assert data.t == (Polynomial.parse("t"),) * 19
 
 
 def test_fit_validations():

@@ -362,3 +362,13 @@ def test_made_up_report_bytes():
     )
     assert report.csv_text() == MADE_UP_CSV
     assert report.json_text() == MADE_UP_JSON
+
+
+def test_unset_counterexample_values_are_json_null():
+    report = VerificationReport(
+        id="made-up", label="CONJECTURE", params={}, entries=(),
+        counterexamples=(Counterexample("made-up", 0, None, None, None),),
+    )
+    record = json.loads(report.json_text())["counterexamples"][0]
+    assert record == {"id": "made-up", "n": 0, "k": None,
+                      "expected": None, "got": None}
