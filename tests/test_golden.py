@@ -72,6 +72,14 @@ COMMANDS = (
         ["verify", "eq3.6", "--n-max", "-1", "--r", "0"],
         ["scan", "thm7.3", "--k-max", "9"],
     ]
+    # Fits over Q: non-integer moments, zero minors and a deep fit.
+    + [
+        ["fit", "narayana|eval:t=-1/3", "--depth", "5"],
+        ["fit", "u:r=3|double-signed", "--depth", "6", "--format", "json"],
+        ["fit", "catalan|double-signed", "--depth", "40"],
+        ["fit", "catalan|aerate", "--depth", "4"],
+        ["fit", "catconv:r=5", "--depth", "4"],
+    ]
 )
 
 
