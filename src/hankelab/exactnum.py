@@ -217,17 +217,24 @@ class Polynomial:
     def __neg__(self):
         return Polynomial([-c for c in self.coeffs], self.var)
 
+    def _minus(self, rhs):
+        var = self._join(self.var, rhs.var)
+        a, b = self.coeffs, rhs.coeffs
+        out = [x - y for x, y in zip(a, b)]
+        out += a[len(b):] if len(a) > len(b) else [-y for y in b[len(a):]]
+        return Polynomial(out, var)
+
     def __sub__(self, other):
         rhs = self._wrap_other(other)
         if rhs is None:
             return NotImplemented
-        return self + (-rhs)
+        return self._minus(rhs)
 
     def __rsub__(self, other):
         rhs = self._wrap_other(other)
         if rhs is None:
             return NotImplemented
-        return rhs + (-self)
+        return rhs._minus(self)
 
     def __mul__(self, other):
         rhs = self._wrap_other(other)
@@ -360,9 +367,9 @@ def _reciprocal(value):
 
 
 def _cleared(*parts):
-    """Coefficient tuples as integer lists over one common denominator, with
-    that denominator.  A RationalFunction coefficient leaves them as they
-    are, over 1."""
+    """Sequences of rationals (coefficients, matrix entries, moments) as
+    integer lists over one common denominator, with that denominator.  A
+    RationalFunction coefficient leaves them as they are, over 1."""
     if not all(isinstance(c, Fraction) for part in parts for c in part):
         return parts, 1
     den = math.lcm(*(c.denominator for part in parts for c in part))
@@ -517,17 +524,22 @@ class RationalFunction:
     def __neg__(self):
         return RationalFunction(-self.num, self.den)
 
+    def _minus(self, rhs):
+        return RationalFunction(
+            self.num * rhs.den - rhs.num * self.den, self.den * rhs.den
+        )
+
     def __sub__(self, other):
         rhs = self._wrap_other(other)
         if rhs is None:
             return NotImplemented
-        return self + (-rhs)
+        return self._minus(rhs)
 
     def __rsub__(self, other):
         rhs = self._wrap_other(other)
         if rhs is None:
             return NotImplemented
-        return rhs + (-self)
+        return rhs._minus(self)
 
     def __mul__(self, other):
         rhs = self._wrap_other(other)

@@ -11,11 +11,10 @@ oracles.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exactnum import Polynomial, RationalFunction, exact_divide
+from .exactnum import Polynomial, RationalFunction, _cleared, exact_divide
 from .sequences import POLYNOMIAL, SequenceSpec, parse_spec, terms
 
 __all__ = [
@@ -230,8 +229,7 @@ def det_sequence(spec, n_max: int, offset: int = 0) -> DetSequence:
     if spec.kind == POLYNOMIAL:
         minors = _leading_minors(_square(values, n_max, offset), one)
     else:
-        scale = math.lcm(*(v.denominator for v in values))
-        ints = [v.numerator * (scale // v.denominator) for v in values]
+        (ints,), scale = _cleared(values)
         int_minors = _leading_minors(_square(ints, n_max, offset), 1)
         minors = [Fraction(d, scale**n) for n, d in enumerate(int_minors, 1)]
     return DetSequence(spec, offset, (one, *minors))

@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exactnum import Polynomial, RationalFunction
+from .exactnum import Polynomial, RationalFunction, _cleared, exact_divide
 from .hankel import csv_table, det_exact, json_table
 from .sequences import parse_spec, terms
 
@@ -95,20 +95,22 @@ class Triangle:
 
 
 def _lift(moments: list) -> list:
-    if any(isinstance(m, (Polynomial, RationalFunction)) for m in moments):
-        return [
-            m if isinstance(m, RationalFunction) else RationalFunction(m)
-            for m in moments
-        ]
-    return [Fraction(m) for m in moments]
+    return [
+        m if isinstance(m, RationalFunction) else RationalFunction(m)
+        for m in moments
+    ]
 
 
 def fit_recurrence(moments, depth: int) -> JacobiData:
     """Unique s(0..depth-1), t(0..depth-2) reproducing the moments.
 
-    Needs 2*depth moments with a(0) = 1.  Polynomial moments are fitted
-    over the rational-function field.  Raises ZeroHankelMinorError naming
-    the order of the first vanishing minor when no fit exists.
+    Needs 2*depth moments with a(0) = 1.  Raises ZeroHankelMinorError
+    naming the order of the first vanishing minor when no fit exists.
+
+    Rational moments are cleared to integers by one common denominator
+    and fitted on integer bordered Hankel minors (`_fit_integers`);
+    `Fraction`s are built only for s and t.  Polynomial moments are
+    fitted over the rational-function field (`_fit_field`).
     """
     if depth < 0:
         raise ValueError("depth must be >= 0")
@@ -118,12 +120,24 @@ def fit_recurrence(moments, depth: int) -> JacobiData:
         raise ValueError("fitting needs a leading moment equal to 1")
     if depth == 0:
         return JacobiData((), ())
+    head = list(moments[: 2 * depth])
+    if any(isinstance(m, (Polynomial, RationalFunction)) for m in head):
+        s, t = _fit_field(_lift(head), depth)
+    else:
+        (ints,), _ = _cleared([Fraction(m) for m in head])
+        s, t = _fit_integers(ints, depth)
+    return JacobiData(tuple(s), tuple(t))
+
+
+def _fit_field(moments: list, depth: int):
+    """Chebyshev's moment algorithm over a field.
+
+    sigma[k][l] is the functional applied to p(k, x) * x^l; row k only
+    needs l = k .. width-1-k, stored with its natural l index.
+    """
     width = 2 * depth
-    lifted = _lift(list(moments[:width]))
-    # sigma[k][l] is the functional applied to p(k, x) * x^l; row k only
-    # needs l = k .. width-1-k, stored with its natural l index.
-    sigma = [lifted]
-    s = [lifted[1] / lifted[0]]
+    sigma = [moments]
+    s = [moments[1] / moments[0]]
     t: list = []
     for k in range(1, depth):
         prev = sigma[k - 1]
@@ -138,7 +152,43 @@ def fit_recurrence(moments, depth: int) -> JacobiData:
             raise ZeroHankelMinorError(k + 1)
         t.append(row[k] / prev[k - 1])
         s.append(row[k + 1] / row[k] - prev[k] / prev[k - 1])
-    return JacobiData(tuple(s), tuple(t))
+    return s, t
+
+
+def _fit_integers(moments: list, depth: int):
+    """Chebyshev's moment algorithm on integer moments, fraction-free.
+
+    tau[k][l] = D_k * sigma[k][l], where D_k = tau[k-1][k-1] is the
+    order-k Hankel minor, is a bordered Hankel minor and so an integer.
+    With A = D_k, C = D_(k-1), B = tau[k-1][k] and E = tau[k-2][k-1]:
+
+        tau[k][l] = (A*C*tau[k-1][l+1] - (B*C - E*A)*tau[k-1][l]
+                     - A**2*tau[k-2][l]) / C**2
+
+    and the division is exact.  Scaling the moments leaves s and t as
+    they are, so the caller may clear denominators first.
+    """
+    width = 2 * depth
+    older: list = [0] * width  # tau[-1]: zero, with D_0 = 1
+    prev = moments
+    a, b, c, e = moments[0], moments[1], 1, 0
+    s = [Fraction(b, a)]
+    t: list = []
+    for k in range(1, depth):
+        step, shift, drop, csq = a * c, b * c - e * a, a * a, c * c
+        row = [0] * (width - k)
+        for l in range(k, width - k):
+            row[l] = exact_divide(
+                step * prev[l + 1] - shift * prev[l] - drop * older[l], csq
+            )
+        pivot = row[k]
+        if not pivot:
+            raise ZeroHankelMinorError(k + 1)
+        t.append(Fraction(pivot * c, drop))
+        s.append(Fraction(row[k + 1], pivot) - Fraction(b, a))
+        older, prev = prev, row
+        a, c, e, b = pivot, a, b, row[k + 1]
+    return s, t
 
 
 def fit_spec(spec, depth: int) -> JacobiData:

@@ -3,8 +3,10 @@
 Products, division and gcds of rational-coefficient polynomials run on
 Python ints over a common denominator; these properties hold them to the
 plain `Fraction` loops, written out here, on coefficients, variable and
-text.  A polynomial with `RationalFunction` coefficients runs the same
-loops on its coefficient objects, which the last test pins.
+text.  Sums and differences are held to the same loops, and a difference
+to the sum with the negation.  A polynomial with `RationalFunction`
+coefficients runs the same loops on its coefficient objects, which the
+last test pins.
 """
 
 from __future__ import annotations
@@ -24,6 +26,15 @@ COEFFICIENTS = st.one_of(
 )
 POLYS = st.lists(COEFFICIENTS, max_size=7).map(lambda cs: Polynomial(cs, "t"))
 NONZERO = POLYS.filter(bool)
+
+
+def ref_add(a, b, sign=1):
+    out = [Fraction(0)] * max(len(a), len(b))
+    for i, x in enumerate(a):
+        out[i] = out[i] + x
+    for i, y in enumerate(b):
+        out[i] = out[i] + sign * y
+    return out
 
 
 def ref_mul(a, b):
@@ -67,12 +78,31 @@ def ref_monic_gcd(a, b):
     return [c / a[-1] for c in a]
 
 
+def ref_reduced(top, bottom):
+    """Numerator and denominator of top/bottom, reduced, denominator monic."""
+    if not trimmed(top):
+        return [], [Fraction(1)]
+    g = ref_monic_gcd(top, bottom)
+    num, den = ref_divmod(top, g)[0], ref_divmod(bottom, g)[0]
+    return [c / den[-1] for c in num], [c / den[-1] for c in den]
+
+
 def assert_same(poly, coeffs, var="t"):
     expected = Polynomial(coeffs, var)
     assert poly.coeffs == expected.coeffs
     assert [type(c) for c in poly.coeffs] == [type(c) for c in expected.coeffs]
     assert poly.var == expected.var
     assert str(poly) == str(expected)
+
+
+@given(POLYS, POLYS, COEFFICIENTS)
+def test_sum_and_difference_match_fraction_loop(a, b, c):
+    assert_same(a + b, ref_add(a.coeffs, b.coeffs))
+    assert_same(-b, [-x for x in b.coeffs])
+    assert_same(a - b, ref_add(a.coeffs, b.coeffs, -1))
+    assert_same(a - b, (a + (-b)).coeffs)
+    assert_same(c - a, ref_add([c], a.coeffs, -1))
+    assert_same(a - c, ref_add(a.coeffs, [c], -1))
 
 
 @given(POLYS, POLYS)
@@ -103,16 +133,32 @@ def test_gcd_matches_euclid_over_q(a, b, common):
 def test_rational_function_is_reduced_and_monic(num, den, common):
     for top, bottom in ((num, den), (num * common, den * common)):
         rf = RationalFunction(top, bottom)
-        if not top:
-            assert_same(rf.num, [])
-            assert_same(rf.den, [1])
-            continue
-        g = ref_monic_gcd(top.coeffs, bottom.coeffs)
-        ref_num = ref_divmod(top.coeffs, g)[0]
-        ref_den = ref_divmod(bottom.coeffs, g)[0]
-        lead = ref_den[-1]
-        assert_same(rf.num, [c / lead for c in ref_num])
-        assert_same(rf.den, [c / lead for c in ref_den])
+        ref_num, ref_den = ref_reduced(top.coeffs, bottom.coeffs)
+        assert_same(rf.num, ref_num)
+        assert_same(rf.den, ref_den)
+
+
+@given(POLYS, NONZERO, POLYS, NONZERO, COEFFICIENTS)
+def test_rational_function_difference_matches_fraction_loop(
+    num1, den1, num2, den2, c
+):
+    x, y = RationalFunction(num1, den1), RationalFunction(num2, den2)
+    diff = x - y
+    ref_num, ref_den = ref_reduced(
+        ref_add(ref_mul(x.num.coeffs, y.den.coeffs),
+                ref_mul(y.num.coeffs, x.den.coeffs), -1),
+        ref_mul(x.den.coeffs, y.den.coeffs),
+    )
+    assert_same(diff.num, ref_num)
+    assert_same(diff.den, ref_den)
+    assert diff == x + (-y) and str(diff) == str(x + (-y))
+    for value, ref_top in ((c - x, ref_add(ref_mul([c], x.den.coeffs),
+                                           x.num.coeffs, -1)),
+                           (x - c, ref_add(x.num.coeffs,
+                                           ref_mul([c], x.den.coeffs), -1))):
+        ref_num, ref_den = ref_reduced(ref_top, x.den.coeffs)
+        assert_same(value.num, ref_num)
+        assert_same(value.den, ref_den)
 
 
 def test_rational_function_coefficients_take_the_fraction_loop():

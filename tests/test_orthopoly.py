@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from hankelab import exactnum
+from hankelab import exactnum, orthopoly
 from hankelab.exactnum import Polynomial, RationalFunction
 from hankelab.hankel import det_cofactor, det_exact, hankel_matrix
 from hankelab.orthopoly import (
@@ -85,6 +85,25 @@ def test_fit_over_q_of_t_runs_no_gcd_for_constant_denominators(monkeypatch):
     assert len(calls) < 100
     assert data.s == (1,) + (Polynomial.parse("1 + t"),) * 19
     assert data.t == (Polynomial.parse("t"),) * 19
+
+
+def test_rational_moments_never_reach_the_rational_function_loop(monkeypatch):
+    lifted = []
+    lift = orthopoly._lift
+    monkeypatch.setattr(orthopoly, "_lift",
+                        lambda moments: lifted.append(1) or lift(moments))
+    fit_spec("narayana", 3)
+    assert lifted
+
+    def refuse(moments):
+        raise AssertionError("rational moments reached the RationalFunction loop")
+
+    monkeypatch.setattr(orthopoly, "_lift", refuse)
+    for spec in ("catalan|double-signed", "narayana|eval:t=-1/3", "u:r=3"):
+        assert moments_from_recurrence(fit_spec(spec, 6), 12) == terms(spec, 12)
+    fit_recurrence([1, Fraction(1, 2), 3, Fraction(-7, 5)], 2)
+    with pytest.raises(ZeroHankelMinorError):
+        fit_spec("catconv:r=5", 4)
 
 
 def test_fit_validations():
