@@ -522,7 +522,11 @@ class RationalFunction:
     __radd__ = __add__
 
     def __neg__(self):
-        return RationalFunction(-self.num, self.den)
+        # -num over the same monic den is still reduced: no gcd needed.
+        result = object.__new__(RationalFunction)
+        result.num = -self.num
+        result.den = self.den
+        return result
 
     def _minus(self, rhs):
         return RationalFunction(

@@ -3,9 +3,11 @@
 The matrix for a sequence a and offset m has entry(i, j) = a(i + j + m).
 Determinants are computed fraction-free so every intermediate stays in the
 ring the entries come from (integers, `Fraction` or `Polynomial`).
-`det_sequence` reads every leading minor off one elimination pass;
-`det_exact` and `det_cofactor` evaluate a single matrix and serve as its
-oracles.
+One elimination kernel, `_leading_minors`, gives every determinant:
+`det_sequence` reads all leading minors off one pass and `det_exact` the
+last one.  `det_cofactor` (cofactor expansion, no division) is the
+independent oracle; the tests keep a Bareiss elimination with row
+exchanges as a second one.
 """
 
 from __future__ import annotations
@@ -111,10 +113,13 @@ def hankel_matrix(spec, n: int, offset: int = 0) -> HankelMatrix:
 
 
 def det_exact(matrix, one=None):
-    """Exact determinant by fraction-free elimination; empty matrix gives 1.
+    """Exact determinant of one matrix; the empty matrix gives 1.
 
     Accepts a HankelMatrix or a plain list of rows.  `one` names the ring
     unit used for the empty case; it is inferred from a HankelMatrix.
+    The value is the last leading minor of the same elimination that
+    `det_sequence` runs: its look-ahead adds a row i < n to a row above,
+    which keeps every minor of order above i, so D_n is the determinant.
     """
     if isinstance(matrix, HankelMatrix):
         rows = matrix.rows
@@ -123,33 +128,7 @@ def det_exact(matrix, one=None):
         rows = matrix
         if one is None:
             one = Fraction(1)
-    n = len(rows)
-    if n == 0:
-        return one
-    work = [list(row) for row in rows]
-    sign = 1
-    prev = one
-    for k in range(n - 1):
-        if not work[k][k]:
-            for i in range(k + 1, n):
-                if work[i][k]:
-                    work[k], work[i] = work[i], work[k]
-                    sign = -sign
-                    break
-            else:
-                return one * 0
-        pivot = work[k][k]
-        for i in range(k + 1, n):
-            left = work[i][k]
-            for j in range(k + 1, n):
-                # Divisibility by the previous pivot is a theorem of the
-                # elimination scheme; a remainder means a bug, not bad input.
-                work[i][j] = exact_divide(
-                    pivot * work[i][j] - left * work[k][j], prev
-                )
-        prev = pivot
-    result = work[n - 1][n - 1]
-    return result if sign > 0 else -result
+    return _minors(rows, one)[-1] if rows else one
 
 
 def det_cofactor(rows, one=None):
@@ -214,24 +193,31 @@ def _leading_minors(rows, one) -> list:
     return out
 
 
+def _minors(rows, one) -> list:
+    """Leading principal minors D_1..D_n of a square matrix.
+
+    When every entry is a Fraction, the entries are scaled by the lcm L of
+    their denominators, the kernel runs on Python ints and D_n is returned
+    as the int minor over L**n.  Other entries go through as they are.
+    """
+    if not all(isinstance(a, Fraction) for row in rows for a in row):
+        return _leading_minors(rows, one)
+    ints, scale = _cleared(*rows)
+    return [Fraction(d, scale**n) for n, d in enumerate(_leading_minors(ints, 1), 1)]
+
+
 def det_sequence(spec, n_max: int, offset: int = 0) -> DetSequence:
     """Determinants of all leading orders 0..n_max at one offset.
 
-    All orders come from one elimination of the order-n_max matrix.
-    Rational entries are scaled by the lcm L of their denominators to
-    Python ints first, and D_n is returned as the int minor over L**n.
+    All orders come from one elimination of the order-n_max matrix;
+    rational entries are eliminated as Python ints (see `_minors`).
     """
     spec = _as_spec(spec)
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
     values = terms(spec, 2 * n_max - 1 + offset if n_max else 0)
     one = _ring_one(spec)
-    if spec.kind == POLYNOMIAL:
-        minors = _leading_minors(_square(values, n_max, offset), one)
-    else:
-        (ints,), scale = _cleared(values)
-        int_minors = _leading_minors(_square(ints, n_max, offset), 1)
-        minors = [Fraction(d, scale**n) for n, d in enumerate(int_minors, 1)]
+    minors = _minors(_square(values, n_max, offset), one)
     return DetSequence(spec, offset, (one, *minors))
 
 

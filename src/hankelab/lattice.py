@@ -11,7 +11,6 @@ EO counting the weight-t downsteps across the whole family.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
 
 from .exactnum import Polynomial, binomial
 
@@ -55,10 +54,7 @@ def lgv_matrix(n: int) -> list:
     ]
 
 
-@lru_cache(maxsize=None)
-def _path_atoms(
-    x0: int, x1: int, x_base: int, stride: int
-) -> tuple:
+def _path_atoms(x0: int, x1: int, x_base: int, stride: int) -> list:
     """All paths (x0, 0) -> (x1, 2): pairs (vertex bitmask, t-downsteps)."""
     atoms = []
     start_bit = 1 << ((x0 - x_base) * stride)
@@ -77,7 +73,7 @@ def _path_atoms(
             walk(x + 1, nh, mask | bit, eo + (1 if dh < 0 and nh % 2 else 0))
 
     walk(x0, 0, start_bit, 0)
-    return tuple(atoms)
+    return atoms
 
 
 def lgv_bruteforce(n: int) -> Polynomial:

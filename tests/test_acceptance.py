@@ -11,12 +11,7 @@ from math import comb
 
 from hankelab.exactnum import Polynomial, PowerSeries, RationalFunction
 from hankelab.hankel import det_cofactor, det_exact, det_sequence, hankel_matrix
-from hankelab.lattice import (
-    _path_atoms,
-    dual_sum_closed,
-    dual_sum_total,
-    lgv_bruteforce,
-)
+from hankelab.lattice import dual_sum_closed, dual_sum_total, lgv_bruteforce
 from hankelab.orthopoly import (
     det_product_formula,
     fit_recurrence,
@@ -205,7 +200,6 @@ def test_criterion_5_alternating_binomial_sums():
 
 
 def test_criterion_6_path_family_oracle():
-    _path_atoms.cache_clear()
     started = time.perf_counter()
     for n in range(5):
         det = det_exact(hankel_matrix("convpoly:m=3", n))

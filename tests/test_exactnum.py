@@ -7,6 +7,7 @@ from fractions import Fraction
 
 import pytest
 
+from hankelab import exactnum
 from hankelab.exactnum import (
     Polynomial,
     PowerSeries,
@@ -188,6 +189,23 @@ def test_rational_function_reduces_and_compares():
     rf = RationalFunction(num, den)
     assert rf == Polynomial.parse("1 + t")
     assert RationalFunction(Polynomial.parse("2 + 2*t"), Polynomial.parse("1 + t")) == 2
+
+
+def test_rational_function_negation_takes_no_gcd(monkeypatch):
+    calls = []
+    gcd = exactnum.poly_gcd
+
+    def counted(a, b):
+        calls.append(1)
+        return gcd(a, b)
+
+    x = RationalFunction(Polynomial.parse("1 + t"), Polynomial.parse("2 + t^2"))
+    monkeypatch.setattr(exactnum, "poly_gcd", counted)
+    negated = -x
+    assert calls == []
+    expected = RationalFunction(-x.num, x.den)
+    assert (negated.num, negated.den) == (expected.num, expected.den)
+    assert str(negated) == str(expected) == "(-1 - t) / (2 + t^2)"
 
 
 def test_rational_function_field_axioms_random():

@@ -1,6 +1,6 @@
-"""Determinant routines against the cofactor oracle, the one-pass
-leading-minor kernel against per-order elimination, plus matrix shape and
-serialization checks."""
+"""The one-pass leading-minor kernel, and `det_exact` and `det_sequence`
+on top of it, against the cofactor and Bareiss oracles, plus matrix shape
+and serialization checks."""
 
 from __future__ import annotations
 
@@ -21,7 +21,8 @@ from hankelab.hankel import (
     hankel_matrix,
     json_table,
 )
-from hankelab.sequences import terms
+from hankelab.sequences import POLYNOMIAL, parse_spec, terms
+from oracles import bareiss_det
 
 
 def _random_int_rows(rng: random.Random, order: int) -> list:
@@ -67,7 +68,7 @@ def test_leading_minors_match_per_order_oracles(hankel, pool, one, trials, max_o
         assert len(minors) == len(rows)
         for n, value in enumerate(minors, 1):
             block = [row[:n] for row in rows[:n]]
-            assert value == det_exact(block, one), (rows, n)
+            assert value == bareiss_det(block, one), (rows, n)
             if n <= 5:
                 assert value == det_cofactor(block, one), (rows, n)
         minors_seen += len(minors)
@@ -84,8 +85,12 @@ def test_leading_minors_match_per_order_oracles(hankel, pool, one, trials, max_o
     ("narayana", 7, 0),
 ])
 def test_det_sequence_matches_per_order_det_exact(spec, n_max, offset):
+    one = Polynomial.one() if parse_spec(spec).kind == POLYNOMIAL else Fraction(1)
     got = det_sequence(spec, n_max, offset).values
-    expected = [det_exact(hankel_matrix(spec, n, offset)) for n in range(n_max + 1)]
+    expected = [
+        bareiss_det(hankel_matrix(spec, n, offset).rows, one)
+        for n in range(n_max + 1)
+    ]
     assert [(type(v), str(v)) for v in got] == [(type(v), str(v)) for v in expected]
 
 

@@ -11,7 +11,8 @@ from fractions import Fraction
 import pytest
 
 from hankelab.exactnum import Polynomial, PowerSeries
-from hankelab.orthopoly import fit_spec, ortho_value
+from hankelab.orthopoly import aerated_triangle, fit_spec, ortho_value
+from hankelab.sequences import terms
 from hankelab.registry import (
     Counterexample,
     ReportEntry,
@@ -19,11 +20,13 @@ from hankelab.registry import (
     _compared,
     _gather_counterexamples,
     aerated_u_p0,
+    aerated_u_weights,
     binomial_sum_identity,
     binomial_sum_series,
     closed_form,
     conv4_poly_recurrence,
     conv4_recurrence,
+    double_signed_u_aerated_t,
     double_signed_u_recurrence,
     formula_ids,
     formula_info,
@@ -214,6 +217,14 @@ def test_aerated_u_p0_matches_aerated_fit():
         assert all(v == 0 for v in jd.s)
         for n in range(11):
             assert aerated_u_p0(n, r) == ortho_value(jd, n, Fraction(0))
+
+
+@pytest.mark.parametrize("r", [1, 2, 3])
+def test_aeration_weights_give_the_aerated_u_moments(r):
+    plain = aerated_triangle(aerated_u_weights(r, 12), 12).column0()
+    assert list(plain) == terms(f"u:r={r}|aerate", 12)
+    signed = aerated_triangle(double_signed_u_aerated_t(r, 12), 12).column0()
+    assert list(signed) == terms(f"u:r={r}|double-signed|aerate", 12)
 
 
 def _assert_same_recurrence(built, fitted):
