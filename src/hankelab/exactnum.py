@@ -1,12 +1,12 @@
 """Exact arithmetic building blocks: polynomials over Q, rational functions,
 and truncated power series.
 
-Polynomial coefficients are `fractions.Fraction` at the API edge.  Products,
-divisions and gcds clear them to Python ints over one common denominator and
-build `Fraction`s only for the result.  A coefficient may also be a
-`RationalFunction` in some *other* variable, which is how mixed values (say,
-polynomials in x whose coefficients live in Q(t)) are handled without a full
-multivariate layer; such polynomials take the same loops on those objects.
+A polynomial over Q is stored as int numerators over one positive int
+denominator, and every ring operation runs on those ints; `Fraction`s
+appear only at the API edge (`Polynomial.coeffs`).  A coefficient may also
+be a `RationalFunction` in some *other* variable, which is how mixed values
+(polynomials in x with coefficients in Q(t)) are handled without a full
+multivariate layer; such coefficients stay objects, over 1, in the same loops.
 """
 
 from __future__ import annotations
@@ -64,31 +64,37 @@ _TERM = re.compile(
 class Polynomial:
     """Dense univariate polynomial with exact coefficients.
 
-    Coefficients are stored ascending by exponent with trailing zeros
-    trimmed: the zero polynomial has an empty coefficient tuple and degree
-    -1.  Constants carry no variable name (``var is None``) and mix freely
-    with polynomials in any variable; combining two polynomials in
-    different variables raises `VariableMismatchError` unless one operand
-    is constant.
+    Coefficient i is ``nums[i] / den``: int numerators with trailing zeros
+    trimmed (zero has none and degree -1) over an int den > 0 coprime to
+    them, so equal polynomials store equal fields.  `RationalFunction`
+    coefficients stay objects in ``nums``, over 1; `coeffs` is the
+    `Fraction` view.  Constants carry no variable name (``var is None``)
+    and mix freely with polynomials in any variable; combining two
+    polynomials in different variables raises `VariableMismatchError`
+    unless one operand is constant.
     """
 
-    __slots__ = ("var", "coeffs")
+    __slots__ = ("var", "nums", "den")
 
     def __init__(self, coeffs=(), var: str | None = None):
-        clean = [self._coerce(c, var) for c in coeffs]
-        while clean and not clean[-1]:
-            clean.pop()
-        if len(clean) <= 1:
-            var = None
-        self.coeffs = tuple(clean)
-        self.var = var
+        (nums,), den = _cleared([self._coerce(c, var) for c in coeffs])
+        self._store(nums, den, var)
+
+    def _store(self, nums: list, den: int, var: str | None) -> "Polynomial":
+        while nums and not nums[-1]:
+            nums.pop()
+        if den != 1 and (common := math.gcd(den, *nums)) != 1:
+            nums = [c // common for c in nums]
+            den //= common
+        self.nums = tuple(nums)
+        self.den = den
+        self.var = var if len(nums) > 1 else None
+        return self
 
     @staticmethod
     def _coerce(c, var):
-        if isinstance(c, Fraction):
+        if _is_scalar(c):
             return c
-        if isinstance(c, int):
-            return Fraction(c)
         if isinstance(c, RationalFunction):
             if c.variable is None:
                 return c.as_fraction()
@@ -162,16 +168,21 @@ class Polynomial:
     # -- structure ---------------------------------------------------
 
     @property
+    def coeffs(self) -> tuple:
+        return tuple(map(self.coefficient, range(len(self.nums))))
+
+    @property
     def degree(self) -> int:
-        return len(self.coeffs) - 1
+        return len(self.nums) - 1
 
     @property
     def constant_term(self):
-        return self.coeffs[0] if self.coeffs else Fraction(0)
+        return self.coefficient(0)
 
     def coefficient(self, exponent: int):
-        if 0 <= exponent < len(self.coeffs):
-            return self.coeffs[exponent]
+        if 0 <= exponent < len(self.nums):
+            c = self.nums[exponent]
+            return Fraction(c, self.den) if isinstance(c, int) else c
         return Fraction(0)
 
     @staticmethod
@@ -191,12 +202,10 @@ class Polynomial:
         if isinstance(other, Polynomial):
             return other
         if isinstance(other, RationalFunction):
-            if other.variable is None:
-                return Polynomial((other.as_fraction(),))
-            if self.var is not None and self.var != other.variable:
-                # absorb as a scalar-like coefficient from another variable
-                return Polynomial((other,))
-            return None
+            if other.variable is not None and self.var in (None, other.variable):
+                return None
+            # a constant, or a coefficient from another variable
+            return Polynomial((other,))
         return None
 
     def __add__(self, other):
@@ -204,25 +213,24 @@ class Polynomial:
         if rhs is None:
             return NotImplemented
         var = self._join(self.var, rhs.var)
-        a, b = self.coeffs, rhs.coeffs
+        a, b, den = _aligned(self, rhs)
         if len(a) < len(b):
             a, b = b, a
-        out = list(a)
         for i, c in enumerate(b):
-            out[i] = out[i] + c
-        return Polynomial(out, var)
+            a[i] += c
+        return _make(a, den, var)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Polynomial([-c for c in self.coeffs], self.var)
+        return _make([-c for c in self.nums], self.den, self.var)
 
     def _minus(self, rhs):
         var = self._join(self.var, rhs.var)
-        a, b = self.coeffs, rhs.coeffs
+        a, b, den = _aligned(self, rhs)
         out = [x - y for x, y in zip(a, b)]
         out += a[len(b):] if len(a) > len(b) else [-y for y in b[len(a):]]
-        return Polynomial(out, var)
+        return _make(out, den, var)
 
     def __sub__(self, other):
         rhs = self._wrap_other(other)
@@ -241,14 +249,12 @@ class Polynomial:
         if rhs is None:
             return NotImplemented
         var = self._join(self.var, rhs.var)
-        if not self.coeffs or not rhs.coeffs:
-            return Polynomial((), var)
-        (a, b), den = _cleared(self.coeffs, rhs.coeffs)
+        a, b = self.nums, rhs.nums
         out = [0] * (len(a) + len(b) - 1)
         for i, x in enumerate(a):
             for j, y in enumerate(b):
                 out[i + j] += x * y
-        return _over(out, den * den, var)
+        return _make(out, self.den * rhs.den, var)
 
     __rmul__ = __mul__
 
@@ -270,21 +276,24 @@ class Polynomial:
             raise ZeroDivisionError("polynomial division by zero")
         var = self._join(self.var, rhs.var)
         # Over a common denominator D, a/b leaves the quotient of D*a by D*b
-        # and D times the remainder.
-        (rem, div), den = _cleared(self.coeffs, rhs.coeffs)
-        rem, lead = list(rem), div[-1]
-        inv_lead = _reciprocal(lead)
+        # and D times the remainder, both times `scale` so int steps are exact.
+        rem, div, den = _aligned(self, rhs)
+        lead, scale = div[-1], 1
         quot = [0] * max(len(rem) - len(div) + 1, 0)
         while len(rem) >= len(div):
             top = rem.pop()
             if not top:
                 continue
             shift = len(rem) + 1 - len(div)
-            exact = isinstance(lead, int) and not top % lead
-            quot[shift] = factor = top // lead if exact else top * inv_lead
+            ints = isinstance(top, int) and isinstance(lead, int)
+            if ints and top % lead:
+                step = abs(lead) // math.gcd(top, lead)
+                rem, quot = [c * step for c in rem], [c * step for c in quot]
+                top, scale = top * step, scale * step
+            quot[shift] = factor = top // lead if ints else top / lead
             for i in range(len(div) - 1):
                 rem[shift + i] -= factor * div[i]
-        return Polynomial(quot, var), _over(rem, den, var)
+        return _make(quot, scale, var), _make(rem, den * scale, var)
 
     def exact_div(self, other) -> "Polynomial":
         quot, rem = divmod(self, other)
@@ -309,21 +318,19 @@ class Polynomial:
     # -- comparison and display ---------------------------------------
 
     def __bool__(self) -> bool:
-        return bool(self.coeffs)
+        return bool(self.nums)
 
     def __eq__(self, other):
         if isinstance(other, Polynomial):
-            return self.coeffs == other.coeffs and self.var == other.var
+            return (self.nums, self.den, self.var) == (other.nums, other.den, other.var)
         if _is_scalar(other):
             return self.degree <= 0 and self.constant_term == other
-        if isinstance(other, RationalFunction):
-            return NotImplemented
         return NotImplemented
 
     def __hash__(self):
         if self.degree <= 0:
             return hash(self.constant_term)
-        return hash((self.var, self.coeffs))
+        return hash((self.var, self.nums, self.den))
 
     def __str__(self) -> str:
         if not self.coeffs:
@@ -356,29 +363,31 @@ class Polynomial:
         return f"Polynomial({str(self)!r})"
 
 
-def _reciprocal(value):
-    if _is_scalar(value):
-        return Fraction(1) / Fraction(value)
-    if isinstance(value, RationalFunction):
-        return value.reciprocal()
-    if isinstance(value, Polynomial):
-        return RationalFunction(Polynomial.one(), value)
-    raise TypeError(f"no reciprocal for {value!r}")
-
-
 def _cleared(*parts):
-    """Sequences of rationals (coefficients, matrix entries, moments) as
-    integer lists over one common denominator, with that denominator.  A
-    RationalFunction coefficient leaves them as they are, over 1."""
-    if not all(isinstance(c, Fraction) for part in parts for c in part):
+    """Sequences of ints and Fractions (coefficients, matrix entries,
+    moments) as integer lists over one common denominator, with that
+    denominator.  Any other element leaves them as they are, over 1."""
+    if not all(_is_scalar(c) for part in parts for c in part):
         return parts, 1
     den = math.lcm(*(c.denominator for part in parts for c in part))
     return [[c.numerator * (den // c.denominator) for c in part] for part in parts], den
 
 
-def _over(coeffs, den, var):
-    """The polynomial with coefficients coeffs / den."""
-    return Polynomial(coeffs if den == 1 else [Fraction(c, den) for c in coeffs], var)
+def _aligned(p: Polynomial, q: Polynomial):
+    """Fresh numerator lists of p and q over their common denominator, and it."""
+    if p.den == q.den:
+        return list(p.nums), list(q.nums), p.den
+    den = math.lcm(p.den, q.den)
+    return [c * (den // p.den) for c in p.nums], [c * (den // q.den) for c in q.nums], den
+
+
+def _make(nums: list, den: int, var: str | None) -> Polynomial:
+    """The polynomial nums / den, from a fresh list.  Numerators other than
+    ints go through the constructor, which turns constant RationalFunctions
+    into rationals."""
+    if not all(isinstance(c, int) for c in nums):
+        return Polynomial(nums if den == 1 else [c * Fraction(1, den) for c in nums], var)
+    return object.__new__(Polynomial)._store(nums, den, var)
 
 
 def _int_primitive(coeffs):
@@ -421,17 +430,18 @@ def poly_gcd(a: Polynomial, b: Polynomial) -> Polynomial:
     if not isinstance(b, Polynomial):
         b = Polynomial.constant(b)
     var = Polynomial._join(a.var, b.var)
-    for c in a.coeffs + b.coeffs:
-        if not isinstance(c, Fraction):
+    for c in a.nums + b.nums:
+        if not isinstance(c, int):
             raise TypeError("poly_gcd needs plain rational coefficients")
-    u, v = (_int_primitive(part) for part in _cleared(a.coeffs, b.coeffs)[0])
+    # Denominators only scale, so the primitive parts of the numerators do.
+    u, v = _int_primitive(list(a.nums)), _int_primitive(list(b.nums))
     if len(u) < len(v):
         u, v = v, u
     while v:
         u, v = v, _int_primitive(_int_pseudo_rem(u, v))
     if not u:
         return Polynomial.zero()
-    return _over(u, u[-1], var)
+    return _make(u, u[-1], var)
 
 
 class RationalFunction:
@@ -452,7 +462,7 @@ class RationalFunction:
             if den.degree > 0 and (g := poly_gcd(num, den)).degree > 0:
                 num = num.exact_div(g)
                 den = den.exact_div(g)
-            lead = den.coeffs[-1]
+            lead = den.coefficient(den.degree)
             if lead != 1:
                 num = num / lead
                 den = den / lead
@@ -759,16 +769,6 @@ def exact_divide(value, divisor):
                 f"inexact integer division: {value} by {divisor} (internal error)"
             )
         return quot
-    if isinstance(divisor, Polynomial) and divisor.degree <= 0:
-        divisor = divisor.constant_term
-    if isinstance(divisor, int):
-        divisor = Fraction(divisor)
-    if isinstance(divisor, Fraction):
-        if isinstance(value, int):
-            value = Fraction(value)
-        if isinstance(value, Fraction):
-            return value / divisor
-        return value * (Fraction(1) / divisor)
-    if isinstance(value, Polynomial) and isinstance(divisor, Polynomial):
+    if isinstance(value, Polynomial):
         return value.exact_div(divisor)
     return value / divisor

@@ -168,7 +168,7 @@ def _leading_minors(rows, one) -> list:
     n = len(work)
     zero = one * 0
     out = []
-    prev = one
+    prev = 1
     zero_until = 0
     for k in range(n):
         pivot_row = work[k]
@@ -196,11 +196,11 @@ def _leading_minors(rows, one) -> list:
 def _minors(rows, one) -> list:
     """Leading principal minors D_1..D_n of a square matrix.
 
-    When every entry is a Fraction, the entries are scaled by the lcm L of
+    When every entry is an int or Fraction, they are scaled by the lcm L of
     their denominators, the kernel runs on Python ints and D_n is returned
-    as the int minor over L**n.  Other entries go through as they are.
+    as Fraction(minor, L**n).  Other entries go through as they are.
     """
-    if not all(isinstance(a, Fraction) for row in rows for a in row):
+    if not all(isinstance(a, (int, Fraction)) for row in rows for a in row):
         return _leading_minors(rows, one)
     ints, scale = _cleared(*rows)
     return [Fraction(d, scale**n) for n, d in enumerate(_leading_minors(ints, 1), 1)]

@@ -124,7 +124,7 @@ def fit_recurrence(moments, depth: int) -> JacobiData:
     if any(isinstance(m, (Polynomial, RationalFunction)) for m in head):
         s, t = _fit_field(_lift(head), depth)
     else:
-        (ints,), _ = _cleared([Fraction(m) for m in head])
+        (ints,), _ = _cleared(head)
         s, t = _fit_integers(ints, depth)
     return JacobiData(tuple(s), tuple(t))
 

@@ -176,6 +176,31 @@ def test_polynomial_coefficients_in_another_variable():
         Polynomial((RationalFunction(Polynomial.variable_poly("x")),), "x")
 
 
+def test_mixed_variable_reflect_rules():
+    """A constant or a value in another variable is absorbed as a
+    coefficient; a rational function in the polynomial's own variable, or
+    beside a constant polynomial, takes over the operation."""
+    t = Polynomial.variable_poly("t")
+    x = Polynomial.variable_poly("x")
+    rt = RationalFunction(t, t + 1)
+    c = Polynomial.constant(3)
+    rc = RationalFunction(Polynomial.constant(2))
+    table = [
+        ("c + rc", c + rc, Polynomial, "5"),
+        ("rc + c", rc + c, RationalFunction, "5"),
+        ("c * rc", c * rc, Polynomial, "6"),
+        ("x + rt", x + rt, Polynomial, "(t / (1 + t)) + x"),
+        ("rt + x", rt + x, Polynomial, "(t / (1 + t)) + x"),
+        ("x * rt", x * rt, Polynomial, "(t / (1 + t))*x"),
+        ("c + rt", c + rt, RationalFunction, "(3 + 4*t) / (1 + t)"),
+        ("rt + c", rt + c, RationalFunction, "(3 + 4*t) / (1 + t)"),
+        ("t + rt", t + rt, RationalFunction, "(2*t + t^2) / (1 + t)"),
+        ("t * rt", t * rt, RationalFunction, "t^2 / (1 + t)"),
+    ]
+    for name, value, kind, text in table:
+        assert (type(value), str(value)) == (kind, text), name
+
+
 def test_poly_gcd_normalizes():
     a = Polynomial.parse("-1 + t^2")
     b = Polynomial.parse("1 + 2*t + t^2")

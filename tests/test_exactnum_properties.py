@@ -1,18 +1,22 @@
 """Differential properties of polynomial arithmetic over Q.
 
-Products, division and gcds of rational-coefficient polynomials run on
-Python ints over a common denominator; these properties hold them to the
-plain `Fraction` loops, written out here, on coefficients, variable and
-text.  Sums and differences are held to the same loops, and a difference
-to the sum with the negation.  A polynomial with `RationalFunction`
+A polynomial over Q is stored as reduced int numerators over a positive
+denominator, and its sums, products, division and gcds run on those ints.
+These properties hold them to the plain `Fraction` loops, written out
+here, on coefficients, variable and text, and a difference to the sum with
+the negation.  The layout properties check the stored form of every
+result, that no result builds coefficient objects, and that equality and
+hashing follow the coefficients.  A polynomial with `RationalFunction`
 coefficients runs the same loops on its coefficient objects, which the
 last test pins.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
+import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -26,6 +30,7 @@ COEFFICIENTS = st.one_of(
 )
 POLYS = st.lists(COEFFICIENTS, max_size=7).map(lambda cs: Polynomial(cs, "t"))
 NONZERO = POLYS.filter(bool)
+SCALES = st.sampled_from([Fraction(1), Fraction(-1), Fraction(1, 2), Fraction(2, 3), 3])
 
 
 def ref_add(a, b, sign=1):
@@ -93,6 +98,49 @@ def assert_same(poly, coeffs, var="t"):
     assert [type(c) for c in poly.coeffs] == [type(c) for c in expected.coeffs]
     assert poly.var == expected.var
     assert str(poly) == str(expected)
+
+
+def assert_layout(poly):
+    """nums / den with den > 0, gcd(den, *nums) = 1 and no trailing zero;
+    a variable exactly when the degree is positive."""
+    assert all(type(c) is int for c in poly.nums)
+    assert poly.den > 0 and type(poly.den) is int
+    assert math.gcd(poly.den, *poly.nums) == 1
+    assert not poly.nums or poly.nums[-1]
+    assert (poly.var is None) == (poly.degree <= 0)
+
+
+@given(st.lists(COEFFICIENTS, max_size=7), POLYS, NONZERO)
+def test_every_result_is_stored_reduced_without_building_coefficients(coeffs, a, b):
+    calls = []
+    coerce = Polynomial._coerce
+
+    def counted(c, var):
+        calls.append(c)
+        return coerce(c, var)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(Polynomial, "_coerce", staticmethod(counted))
+        results = [a + b, a - b, -a, a * b, *divmod(a, b), poly_gcd(a, b)]
+    assert calls == []
+    for poly in (Polynomial(coeffs, "t"), *results):
+        assert_layout(poly)
+
+
+@given(POLYS, POLYS, SCALES)
+def test_equality_and_hash_follow_the_coefficients(a, b, scale):
+    for p, q in ((a, b), (a, a * scale), (a, Polynomial(a.coeffs, "t"))):
+        assert (p == q) == ((p.var, p.coeffs) == (q.var, q.coeffs))
+        if p == q:
+            assert hash(p) == hash(q)
+    if a.degree <= 0:
+        assert a == a.constant_term and hash(a) == hash(a.constant_term)
+
+
+def test_a_constant_stands_for_its_fraction():
+    assert {Polynomial.constant(Fraction(3, 2)): 1}[Fraction(3, 2)] == 1
+    half_t, third_t = Polynomial.parse("1/2*t"), Polynomial.parse("1/3*t")
+    assert half_t.nums == third_t.nums and half_t != third_t
 
 
 @given(POLYS, POLYS, COEFFICIENTS)

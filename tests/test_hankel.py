@@ -13,6 +13,7 @@ import pytest
 from hankelab.exactnum import Polynomial
 from hankelab.hankel import (
     _leading_minors,
+    _minors,
     csv_cell,
     csv_table,
     det_cofactor,
@@ -105,6 +106,16 @@ def test_two_by_two_integer_example():
     rows = [[Fraction(1), Fraction(1)], [Fraction(1), Fraction(2)]]
     assert det_exact(rows) == 1
     assert det_cofactor(rows) == 1
+
+
+def test_integer_rows_give_fractions_at_every_order():
+    rows = [[1, 2, 0], [3, 4, 1], [0, 2, 5]]
+    minors = _minors(rows, Fraction(1))
+    assert [type(d) for d in minors] == [Fraction] * 3
+    assert minors == [1, -2, det_cofactor(rows)] == [1, -2, -12]
+    for matrix, value in (([[5]], 5), ([[1, 2], [3, 4]], -2)):
+        det = det_exact(matrix)
+        assert type(det) is Fraction and det == value
 
 
 def test_two_by_two_polynomial_example():

@@ -6,18 +6,30 @@ exchanges in `oracles.py` and cofactor expansion.
 Specs are a family with up to two transforms.  The explicit examples pin
 specs with vanishing minors, which drive the kernel's zero-pivot
 look-ahead.
+
+The recurrence fit is held to the same determinants: where every minor up
+to the depth is nonzero it rebuilds the moments, and its product formula
+and shifted determinant give the elimination's values; otherwise it names
+the first vanishing order.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from hypothesis import example, given
+from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
 from hankelab.exactnum import Polynomial
 from hankelab.hankel import det_cofactor, det_exact, det_sequence, hankel_matrix
-from hankelab.sequences import POLYNOMIAL, parse_spec
+from hankelab.orthopoly import (
+    ZeroHankelMinorError,
+    det_product_formula,
+    fit_spec,
+    moments_from_recurrence,
+    shifted_det,
+)
+from hankelab.sequences import POLYNOMIAL, parse_spec, terms
 from oracles import bareiss_det
 
 FAMILIES = st.one_of(
@@ -67,3 +79,22 @@ def test_every_determinant_matches_the_oracles(case):
     for k in range(min(n, 4) + 1):
         assert values[k] == det_cofactor(blocks[k], one), (spec, k)
     assert _typed([det_exact(hankel_matrix(spec, n, offset))]) == _typed(values[-1:])
+
+
+@given(cases())
+@example(("catconv:r=3", 6, 0))
+@example(("narayana", 4, 0))
+def test_every_fit_matches_the_determinants(case):
+    spec, n, _ = case
+    assume(terms(spec, 1)[0] == 1)
+    dets = det_sequence(spec, n).values
+    try:
+        jd = fit_spec(spec, n)
+    except ZeroHankelMinorError as err:
+        assert err.order == next(k for k, d in enumerate(dets) if d == 0)
+        return
+    assert moments_from_recurrence(jd, 2 * n) == terms(spec, 2 * n)
+    shifted = det_sequence(spec, n, 1).values
+    for k in range(n + 1):
+        assert det_product_formula(jd, k) == dets[k], (spec, k)
+        assert shifted_det(jd, k, dets[k]) == shifted[k], (spec, k)
