@@ -58,9 +58,6 @@ def _sign(exponent: int) -> int:
     return -1 if exponent % 2 else 1
 
 
-_T2 = Polynomial.monomial("t", 2)
-
-
 # -- closed forms; thm2.x pins r of eq3.x (1 Fibonacci, 2 Lucas) ------
 
 
@@ -108,11 +105,6 @@ def _cf_eq410(n, r):
     return Fraction(2) ** (n - 1) * lucas_poly(n, Fraction(1), Fraction(-1))
 
 
-def _cf_thm51(n, r):
-    m, j = divmod(n, 3)
-    return Fraction(0) if j == 2 else Fraction(_sign(m))
-
-
 def _cf_thm52(n, r):
     return dual_sum_closed(n)
 
@@ -131,67 +123,78 @@ def _cf_u_d1(n, r):
     return Fraction(r) ** n
 
 
-def _cf_thm73(n, r):
-    m, _ = divmod(n, 2)
-    return Fraction(_sign(m) * (m + 1))
+def _pinned(fn, param: int):
+    """A parameterized closed form with its parameter (r or k) fixed, for
+    an id without r."""
+    return lambda n, _: fn(n, param)
 
 
-def _cf_thm74(n, r):
-    m, j = divmod(n, 2)
-    exponent = 2 * m * m - 2 * m if j == 0 else 2 * m * m
-    lead = Polynomial.monomial("t", exponent, _sign(m))
-    return lead * q_integer(m + 1, _T2)
+# -- convolution patterns; thm5.1, thm7.3, thm7.4 and d-n-5 pin k -----
+# Each gives its conjecture's value at the residues it covers, else None.
 
 
-def _cf_d5(n, r):
-    m, j = divmod(n, 5)
+def _cf_odd_conv(n, k):
+    """conj7.2: catconv:r=2k+1 by n mod 2k+1."""
+    period = 2 * k + 1
+    m, j = divmod(n, period)
     if j <= 1:
-        return Fraction(1)
-    if j == 2:
-        return Fraction(-5 * (m + 1))
-    if j == 3:
+        return Fraction(_sign(k * m))
+    grown = Fraction((period * (m + 1)) ** (k - 1))
+    if j == k:
+        return _sign(k * m + binomial(k, 2)) * grown
+    if j == k + 1:
         return Fraction(0)
-    return Fraction(5 * (m + 1))
+    if j == k + 2:
+        return _sign(k * m + binomial(k, 2) + 1) * grown
+    return None
+
+
+def _cf_even_conv(n, k):
+    """conj7.5: catconv:r=2k at n = 0, 1 mod k."""
+    m, j = divmod(n, k)
+    if j > 1:
+        return None
+    return _sign(binomial(k, 2) * m) * Fraction((m + 1) ** (k - 1))
+
+
+def _cf_even_conv_poly(n, k):
+    """conj7.7: convpoly:m=2k at n = 0, 1 mod k."""
+    m, j = divmod(n, k)
+    if j > 1:
+        return None
+    exponent = k * k * binomial(m, 2) + j * k * m
+    lead = Polynomial.monomial("t", exponent, _sign(binomial(k, 2) * m))
+    return lead * q_integer(m + 1, Polynomial.monomial("t", k)) ** (k - 1)
+
+
+# The observed rows add residues the patterns leave open.
 
 
 def _cf_d6(n, r):
     m, j = divmod(n, 3)
-    if j <= 1:
-        return Fraction(_sign(m) * (m + 1) ** 2)
+    if j != 2:
+        return _cf_even_conv(n, 3)
     squares = (m + 1) * (m + 2) * (2 * m + 3) // 6
     return Fraction(_sign(m + 1) * 9 * squares)
 
 
 def _cf_d7(n, r):
     m, j = divmod(n, 7)
-    sgn = _sign(m)
-    if j <= 1:
-        return Fraction(sgn)
-    if j == 2:
-        return sgn * (Fraction(343 * m * (m + 1) * (2 * m + 1), 6) - 14 * (m + 1))
-    if j == 3:
-        return Fraction(-sgn * 49 * (m + 1) ** 2)
-    if j == 4:
-        return Fraction(0)
-    if j == 5:
-        return Fraction(sgn * 49 * (m + 1) ** 2)
-    return sgn * (Fraction(343 * (m + 1) * (m + 2) * (2 * m + 3), 6) - 14 * (m + 1))
+    if j not in (2, 6):
+        return _cf_odd_conv(n, 3)
+    s = m if j == 2 else m + 1
+    return _sign(m) * (Fraction(343 * s * (s + 1) * (2 * s + 1), 6) - 14 * (m + 1))
 
 
 def _cf_d8(n, r):
     m, j = divmod(n, 4)
     if j <= 1:
-        return Fraction((m + 1) ** 3)
+        return _cf_even_conv(n, 4)
     if j == 2:
         tail = 64 * m * m + 32 * m - 75
         return Fraction(2, 45) * (m + 1) ** 2 * (m + 2) * (2 * m + 3) * tail
     tail = 64 * m * m + 352 * m + 405
     return Fraction(-2, 45) * (m + 1) * (m + 2) ** 2 * (2 * m + 3) * tail
-
-
-def _pinned(fn, r: int):
-    """A parameterized closed form at one fixed r, for an id without r."""
-    return lambda n, _: fn(n, r)
 
 
 # -- the id table -----------------------------------------------------
@@ -270,7 +273,7 @@ _RECORDS = dict(
              _cf_eq410),
         _rec("thm5.1", "catconv:r=3", 0, "THEOREM", None, 12,
              "threefold Catalan convolution determinants cycle with period 6",
-             _cf_thm51),
+             _pinned(_cf_odd_conv, 1)),
         _rec("thm5.2", "convpoly:m=3", 0, "THEOREM", None, 8,
              "threefold convolution polynomial determinants, alternating closed form",
              _cf_thm52),
@@ -288,13 +291,13 @@ _RECORDS = dict(
              _cf_u_d1),
         _rec("thm7.3", "catconv:r=4", 0, "THEOREM", None, 8,
              "fourfold Catalan convolution determinants grow linearly with period 2",
-             _cf_thm73),
+             _pinned(_cf_even_conv, 2)),
         _rec("thm7.4", "convpoly:m=4", 0, "THEOREM", None, 9,
              "fourfold convolution polynomial determinants give q-integer multiples",
-             _cf_thm74),
+             _pinned(_cf_even_conv_poly, 2)),
         _rec("d-n-5", "catconv:r=5", 0, "OBSERVED", None, 9,
              "fivefold Catalan convolution determinants, observed period-5 pattern",
-             _cf_d5),
+             _pinned(_cf_odd_conv, 2)),
         _rec("d-n-6", "catconv:r=6", 0, "OBSERVED", None, 8,
              "sixfold Catalan convolution determinants, observed period-3 pattern",
              _cf_d6),
@@ -489,18 +492,9 @@ def _scan_odd_residues(k_max: int = 3) -> tuple:
     for k in range(1, k_max + 1):
         period = 2 * k + 1
         dets = det_sequence(f"catconv:r={period}", 4 * k + 4)
-        for m in (0, 1):
-            base = period * m
-            grown = Fraction((period * (m + 1)) ** (k - 1))
-            lines = [
-                (base, Fraction(_sign(k * m))),
-                (base + 1, Fraction(_sign(k * m))),
-                (base + k, _sign(m * k + binomial(k, 2)) * grown),
-                (base + k + 1, Fraction(0)),
-                (base + k + 2, _sign(m * k + binomial(k, 2) + 1) * grown),
-            ]
-            for n, expected in lines:
-                entries.append(_compared(n, expected, dets[n], k=k))
+        for base in (0, period):
+            for n in (base, base + 1, base + k, base + k + 1, base + k + 2):
+                entries.append(_compared(n, _cf_odd_conv(n, k), dets[n], k=k))
         for m in (1, 2):
             low = period * m - 1
             high = period * m + 2
@@ -518,9 +512,9 @@ def _scan_even_residues(k_max: int = 4) -> tuple:
         top = 4 * k + 2 if k >= 2 else 2 * k + 1
         dets = det_sequence(f"catconv:r={2 * k}", top)
         for n in (0, 1, 2):
-            expected = _sign(binomial(k, 2) * n) * Fraction((n + 1) ** (k - 1))
-            entries.append(_compared(k * n, expected, dets[k * n], k=k))
-            entries.append(_compared(k * n + 1, expected, dets[k * n + 1], k=k))
+            for index in (k * n, k * n + 1):
+                expected = _cf_even_conv(index, k)
+                entries.append(_compared(index, expected, dets[index], k=k))
         if k == 1:
             entries.append(ReportEntry(n=1, expected=None, got=None,
                                        status="skipped", k=k,
@@ -539,13 +533,8 @@ def _scan_even_residues(k_max: int = 4) -> tuple:
 
 def _conj76_expected(n: int) -> Polynomial:
     m, j = divmod(n, 3)
-    cube = Polynomial.monomial("t", 3)
-    if j == 0:
-        lead = Polynomial.monomial("t", 9 * binomial(m, 2), _sign(m))
-        return lead * q_integer(m + 1, cube) ** 2
-    if j == 1:
-        lead = Polynomial.monomial("t", 3 * m * (3 * m - 1) // 2, _sign(m))
-        return lead * q_integer(m + 1, cube) ** 2
+    if j != 2:
+        return _cf_even_conv_poly(n, 3)
     lead = Polynomial.monomial("t", 3 * m * (3 * m + 1) // 2, 3 * _sign(m + 1))
     ripple = Polynomial.zero()
     for i in range(2 * m + 1):
@@ -567,13 +556,8 @@ def _scan_conv_even(n_max: int, k_max: int = 3) -> tuple:
     entries = []
     for k in range(1, k_max + 1):
         dets = det_sequence(f"convpoly:m={2 * k}", k * n_max + 1)
-        qpow = Polynomial.monomial("t", k)
         for n in range(n_max + 1):
-            body = q_integer(n + 1, qpow) ** (k - 1)
-            lead = Polynomial.monomial(
-                "t", k * k * binomial(n, 2), _sign(binomial(k, 2) * n)
-            )
-            expected = lead * body
+            expected = _cf_even_conv_poly(k * n, k)
             entries.append(_compared(k * n, expected, dets[k * n], k=k))
             shifted = expected * Polynomial.monomial("t", k * n)
             entries.append(_compared(k * n + 1, shifted, dets[k * n + 1], k=k))
@@ -667,17 +651,13 @@ def h_value(n: int, r: int) -> Fraction:
 
 
 def aerated_u_p0(n: int, r: int) -> Fraction:
-    """Value at 0 of the aerated signed-u orthogonal polynomials."""
+    """Value at 0 of the aerated signed-u orthogonal polynomials: 0 at odd
+    n and (-1)^h h_value(h, r) at n = 2h."""
     if n < 0:
         raise ValueError("index must be >= 0")
-    if r < 1:
-        raise ValueError("r must be >= 1")
-    if n % 2:
-        return Fraction(0)
-    if n % 4 == 2:
-        return Fraction(r)
     half = n // 2
-    return r * f_number(half + 1, r) / f_number(half, r)
+    value = _sign(half) * h_value(half, r)
+    return Fraction(0) if n % 2 else value
 
 
 # -- reference recurrence coefficients ---------------------------------
@@ -766,14 +746,15 @@ def conv4_poly_recurrence(depth: int) -> JacobiData:
     """Recurrence data behind the fourfold convolution polynomial
     determinants; entries are rational functions in t."""
     two_two = Polynomial((2, 2), "t")
+    t2 = Polynomial.monomial("t", 2)
     s = tuple(two_two if k % 2 == 0 else Polynomial.zero() for k in range(depth))
     t = []
     for i in range(depth - 1):
         k, j = divmod(i, 2)
-        lower = q_integer(k + 1, _T2)
-        upper = q_integer(k + 2, _T2)
+        lower = q_integer(k + 1, t2)
+        upper = q_integer(k + 2, t2)
         if j == 0:
             t.append(RationalFunction(-upper, lower))
         else:
-            t.append(RationalFunction(-(_T2 * lower), upper))
+            t.append(RationalFunction(-(t2 * lower), upper))
     return JacobiData(s, tuple(t))

@@ -80,6 +80,33 @@ COMMANDS = (
         ["fit", "catalan|aerate", "--depth", "4"],
         ["fit", "catconv:r=5", "--depth", "4"],
     ]
+    # The convolution patterns past their first periods.
+    + [
+        ["verify", "thm5.1", "--n-max", "30"],
+        ["verify", "d-n-5", "--n-max", "30"],
+        ["verify", "d-n-6", "--n-max", "24"],
+        ["verify", "d-n-7", "--n-max", "28"],
+        ["verify", "d-n-8", "--n-max", "24"],
+        ["verify", "thm7.3", "--n-max", "24"],
+        ["verify", "thm7.4", "--n-max", "12"],
+        ["scan", "conj7.6", "--n-max", "10"],
+        ["scan", "conj7.7", "--k-max", "4", "--n-max", "3"],
+        ["scan", "conj7.2", "--k-max", "4"],
+        ["scan", "conj7.5", "--k-max", "5"],
+    ]
+    # Spec parse errors and the negative n_max of `hankel`.
+    + [
+        ["seq", "catalan:r=2", "--terms", "2"],
+        ["seq", "catconv:k=2", "--terms", "2"],
+        ["seq", "catconv:r=x", "--terms", "2"],
+        ["seq", "catconv:r=0", "--terms", "2"],
+        ["seq", "catalan|aerate:1", "--terms", "2"],
+        ["seq", "catalan|shift:x", "--terms", "2"],
+        ["seq", "catalan|scale:1/0", "--terms", "2"],
+        ["seq", "narayana|eval:t=q", "--terms", "2"],
+        ["seq", "narayana|abs:1", "--terms", "2"],
+        ["hankel", "catalan", "--n-max", "-1"],
+    ]
 )
 
 

@@ -11,6 +11,8 @@ The recurrence fit is held to the same determinants: where every minor up
 to the depth is nonzero it rebuilds the moments, and its product formula
 and shifted determinant give the elimination's values; otherwise it names
 the first vanishing order.
+
+Every drawn spec also survives a round trip through its text.
 """
 
 from __future__ import annotations
@@ -98,3 +100,12 @@ def test_every_fit_matches_the_determinants(case):
     for k in range(n + 1):
         assert det_product_formula(jd, k) == dets[k], (spec, k)
         assert shifted_det(jd, k, dets[k]) == shifted[k], (spec, k)
+
+
+@given(cases())
+@example(("narayana|eval:t=-1/3|scale:2/3", 0, 0))
+def test_spec_text_round_trips(case):
+    spec = parse_spec(case[0])
+    again = parse_spec(str(spec))
+    assert again == spec
+    assert str(again) == str(spec) == spec.text

@@ -11,12 +11,16 @@ from fractions import Fraction
 import pytest
 
 from hankelab.exactnum import Polynomial, PowerSeries
+from hankelab.hankel import det_sequence
 from hankelab.orthopoly import aerated_triangle, fit_spec, ortho_value
 from hankelab.sequences import terms
 from hankelab.registry import (
     Counterexample,
     ReportEntry,
     VerificationReport,
+    _cf_even_conv,
+    _cf_even_conv_poly,
+    _cf_odd_conv,
     _compared,
     _gather_counterexamples,
     aerated_u_p0,
@@ -120,6 +124,37 @@ def test_closed_form_spot_values():
         closed_form("conj7.2", 4)
     with pytest.raises(ValueError):
         closed_form("thm7.3", -1)
+    with pytest.raises(ValueError, match="eq3.6 needs an r parameter"):
+        closed_form("eq3.6", 3)
+
+
+# Each convolution pattern with, as functions of k: its spec, its period
+# and the residues it covers; and the largest k checked.
+PATTERNS = {
+    "conj7.2": (_cf_odd_conv, lambda k: f"catconv:r={2 * k + 1}",
+                lambda k: 2 * k + 1, lambda k: {0, 1, k, k + 1, k + 2}, 4),
+    "conj7.5": (_cf_even_conv, lambda k: f"catconv:r={2 * k}",
+                lambda k: k, lambda k: {0, 1}, 5),
+    "conj7.7": (_cf_even_conv_poly, lambda k: f"convpoly:m={2 * k}",
+                lambda k: k, lambda k: {0, 1}, 3),
+}
+PATTERN_CASES = [
+    (id, k) for id, row in PATTERNS.items() for k in range(1, row[-1] + 1)
+]
+
+
+@pytest.mark.parametrize("id, k", PATTERN_CASES,
+                         ids=[f"{id}-k{k}" for id, k in PATTERN_CASES])
+def test_patterns_hold_over_four_periods(id, k):
+    pattern, spec, period, residues, _ = PATTERNS[id]
+    top = 4 * period(k) - 1
+    dets = det_sequence(spec(k), top)
+    covered = [n for n in range(top + 1) if pattern(n, k) is not None]
+    wanted = {j for j in residues(k) if j < period(k)}
+    assert {n % period(k) for n in covered} == wanted
+    assert len(covered) == 4 * len(wanted)
+    for n in covered:
+        assert pattern(n, k) == dets[n], (spec(k), n)
 
 
 def test_counterexample_machinery():
@@ -217,6 +252,12 @@ def test_aerated_u_p0_matches_aerated_fit():
         assert all(v == 0 for v in jd.s)
         for n in range(11):
             assert aerated_u_p0(n, r) == ortho_value(jd, n, Fraction(0))
+    with pytest.raises(ValueError, match="index must be >= 0"):
+        aerated_u_p0(-1, 1)
+    with pytest.raises(ValueError, match="r must be >= 1"):
+        aerated_u_p0(2, 0)
+    with pytest.raises(ValueError, match="r must be >= 1"):
+        aerated_u_p0(1, 0)
 
 
 @pytest.mark.parametrize("r", [1, 2, 3])
