@@ -403,27 +403,11 @@ def _int_primitive(coeffs):
     return coeffs
 
 
-def _int_pseudo_rem(u, v):
-    lead = v[-1]
-    r = list(u)
-    while len(r) >= len(v):
-        if r[-1] == 0:
-            r.pop()
-            continue
-        top = r[-1]
-        r = [lead * c for c in r]
-        shift = len(r) - len(v)
-        for i, c in enumerate(v):
-            r[shift + i] -= top * c
-        r.pop()
-    return r
-
-
 def poly_gcd(a: Polynomial, b: Polynomial) -> Polynomial:
     """GCD of two rational-coefficient polynomials, monic over Q.
 
-    Uses a primitive integer remainder sequence internally so intermediate
-    coefficients stay small.
+    Each remainder of the Euclidean sequence is cut to its primitive integer
+    part, so intermediate coefficients stay small.
     """
     if not isinstance(a, Polynomial):
         a = Polynomial.constant(a)
@@ -438,7 +422,8 @@ def poly_gcd(a: Polynomial, b: Polynomial) -> Polynomial:
     if len(u) < len(v):
         u, v = v, u
     while v:
-        u, v = v, _int_primitive(_int_pseudo_rem(u, v))
+        rem = divmod(_make(u, 1, var), _make(v, 1, var))[1]
+        u, v = v, _int_primitive(list(rem.nums))
     if not u:
         return Polynomial.zero()
     return _make(u, u[-1], var)

@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 
 from .exactnum import Polynomial, PowerSeries, binomial
 
@@ -226,8 +227,7 @@ class SequenceSpec:
     def kind(self) -> str:
         kind = _FAMILIES[self.family].kind
         for tr in self.transforms:
-            if tr.name == "eval":
-                kind = RATIONAL
+            kind = _row(tr.name)[2] or kind
         return kind
 
     @property
@@ -272,18 +272,10 @@ _FAMILIES: dict[str, _Family] = {
     "convpoly": _Family(POLYNOMIAL, "m", _conv_prefix, "t"),
 }
 
-_NO_ARG_TRANSFORMS = ("double-signed", "aerate", "abs", "consecutive-sum")
-
 
 def parse_spec(text: str) -> SequenceSpec:
-    pieces = text.split("|")
-    offsets = []
-    pos = 0
-    for piece in pieces:
-        offsets.append(pos)
-        pos += len(piece) + 1
-
-    head = pieces[0].strip()
+    first, *pieces = text.split("|")
+    head = first.strip()
     if ":" in head:
         family, _, param_text = head.partition(":")
         family = family.strip()
@@ -316,114 +308,19 @@ def parse_spec(text: str) -> SequenceSpec:
 
     kind = info.kind
     transforms = []
-    for piece, offset in zip(pieces[1:], offsets[1:]):
-        token = piece.strip()
-        name, colon, arg_text = token.partition(":")
-        if name in _NO_ARG_TRANSFORMS:
-            if colon:
-                raise SpecError(f"transform {name!r} takes no argument", offset)
-            if name == "abs" and kind != RATIONAL:
-                raise SpecError(
-                    "abs only applies to rational sequences", offset
-                )
-            transforms.append(Transform(name))
-        elif name == "shift":
-            try:
-                amount = int(arg_text) if colon else -1
-            except ValueError:
-                raise SpecError(f"bad shift {arg_text!r}", offset) from None
-            if amount < 0:
-                raise SpecError("shift needs an integer argument >= 0", offset)
-            transforms.append(Transform("shift", amount))
-        elif name == "scale":
-            try:
-                factor = Fraction(arg_text) if colon else None
-            except (ValueError, ZeroDivisionError):
-                factor = None
-            if factor is None:
-                raise SpecError("scale needs a rational argument", offset)
-            transforms.append(Transform("scale", factor))
-        elif name == "eval":
-            if kind != POLYNOMIAL:
-                raise SpecError(
-                    "eval only applies to polynomial sequences", offset
-                )
-            var, eq, value_text = arg_text.partition("=")
-            var = var.strip()
-            try:
-                value = Fraction(value_text) if eq and var else None
-            except (ValueError, ZeroDivisionError):
-                value = None
-            if value is None:
-                raise SpecError(
-                    "eval needs an argument like t=-1", offset
-                )
-            if var != info.var:
-                raise SpecError(_eval_mismatch(var, info.var), offset)
-            transforms.append(Transform("eval", (var, value)))
-            kind = RATIONAL
-        else:
-            raise SpecError(f"unknown transform {name!r}", offset)
-
+    offset = len(first) + 1
+    for piece in pieces:
+        name, colon, arg_text = piece.strip().partition(":")
+        read, needs, leaves, _ = _row(name, offset)
+        if read is None and colon:
+            raise SpecError(f"transform {name!r} takes no argument", offset)
+        if needs not in (None, kind):
+            raise SpecError(f"{name} only applies to {needs} sequences", offset)
+        arg = read(arg_text if colon else None, info.var, offset) if read else None
+        transforms.append(Transform(name, arg))
+        kind = leaves or kind
+        offset += len(piece) + 1
     return SequenceSpec(family, param, tuple(transforms))
-
-
-def _eval_mismatch(name: str, var: str) -> str:
-    return f"eval argument {name!r} does not match variable {var!r}"
-
-
-def _required_input(tr: Transform, count: int) -> int:
-    if count == 0:
-        return 0
-    if tr.name == "shift":
-        return count + tr.arg
-    if tr.name == "double-signed":
-        return count // 2 + 1
-    if tr.name == "aerate":
-        return (count + 1) // 2
-    if tr.name == "consecutive-sum":
-        return count + 1
-    return count
-
-
-def _apply(tr: Transform, values: list) -> list:
-    if tr.name == "shift":
-        return values[tr.arg :]
-    if tr.name == "double-signed":
-        if not values:
-            return []
-        out = [values[0]]
-        for j in range(1, 2 * len(values) - 1):
-            m = (j + 1) // 2
-            out.append(-values[m] if m % 2 else values[m])
-        return out
-    if tr.name == "aerate":
-        if not values:
-            return []
-        zero = values[0] * 0
-        out = []
-        for v in values:
-            out.append(v)
-            out.append(zero)
-        return out
-    if tr.name == "consecutive-sum":
-        return [values[i] + values[i + 1] for i in range(len(values) - 1)]
-    if tr.name == "abs":
-        return [abs(v) for v in values]
-    if tr.name == "scale":
-        return [v * tr.arg for v in values]
-    if tr.name == "eval":
-        name, point = tr.arg
-        out = []
-        for v in values:
-            if isinstance(v, Polynomial):
-                if v.var is not None and v.var != name:
-                    raise SpecError(_eval_mismatch(name, v.var))
-                out.append(v.evaluate(point))
-            else:
-                out.append(v)
-        return out
-    raise SpecError(f"unknown transform {tr.name!r}")
 
 
 def terms(spec: SequenceSpec | str, count: int) -> list:
@@ -432,14 +329,112 @@ def terms(spec: SequenceSpec | str, count: int) -> list:
         spec = parse_spec(spec)
     if count < 0:
         raise ValueError("count must be >= 0")
-    need = count
-    for tr in reversed(spec.transforms):
-        need = _required_input(tr, need)
-    values = _FAMILIES[spec.family].produce(spec.param, need)
+    stage = partial(_FAMILIES[spec.family].produce, spec.param)
     for tr in spec.transforms:
-        values = _apply(tr, values)
-    if len(values) < count:
-        raise ArithmeticError(
-            f"{spec.text} gave {len(values)} of {count} terms (internal error)"
-        )
-    return values[:count]
+        stage = partial(_row(tr.name)[3], stage, tr.arg)
+    return stage(count) if count else []
+
+
+# -- transforms ----------------------------------------------------------
+#
+# A row per transform: (argument reader, or None for no argument; the kind
+# it needs and the kind it leaves, None for any and for unchanged; stage).
+# A reader gets the text after the colon (None without one), the family's
+# variable and the position for errors.  A stage gets the stage below, the
+# argument and a count >= 1; it asks below for the terms its count outputs
+# need and maps them.
+
+
+def _row(name: str, position: int = 0) -> tuple:
+    row = _TRANSFORMS.get(name)
+    if row is None:
+        raise SpecError(f"unknown transform {name!r}", position)
+    return row
+
+
+def _ratio(text) -> Fraction | None:
+    try:
+        return Fraction(text)
+    except (TypeError, ValueError, ZeroDivisionError):
+        return None
+
+
+def _read_shift(text, var, position) -> int:
+    try:
+        amount = int(text) if text is not None else -1
+    except ValueError:
+        raise SpecError(f"bad shift {text!r}", position) from None
+    if amount < 0:
+        raise SpecError("shift needs an integer argument >= 0", position)
+    return amount
+
+
+def _read_scale(text, var, position) -> Fraction:
+    factor = _ratio(text)
+    if factor is None:
+        raise SpecError("scale needs a rational argument", position)
+    return factor
+
+
+def _read_eval(text, var, position) -> tuple:
+    name, eq, value_text = (text or "").partition("=")
+    name = name.strip()
+    value = _ratio(value_text) if eq and name else None
+    if value is None:
+        raise SpecError("eval needs an argument like t=-1", position)
+    if name != var:
+        raise SpecError(_eval_mismatch(name, var), position)
+    return name, value
+
+
+def _eval_mismatch(name: str, var: str) -> str:
+    return f"eval argument {name!r} does not match variable {var!r}"
+
+
+def _shift(below, k, count: int) -> list:
+    if k < 0:  # a spec built by hand skips the reader
+        raise SpecError("shift needs an integer argument >= 0")
+    return below(count + k)[k:]
+
+
+def _double_signed(below, _, count: int) -> list:
+    """a0, -a1, -a1, a2, a2, -a3, ...: each a(m) past a0 twice, signed (-1)^m."""
+    values = below(count // 2 + 1)
+    halves = ((j + 1) // 2 for j in range(count))
+    return [-values[m] if m % 2 else values[m] for m in halves]
+
+
+def _aerate(below, _, count: int) -> list:
+    values = below((count + 1) // 2)
+    zero = values[0] * 0
+    return [zero if j % 2 else values[j // 2] for j in range(count)]
+
+
+def _consecutive_sum(below, _, count: int) -> list:
+    values = below(count + 1)
+    return [values[i] + values[i + 1] for i in range(count)]
+
+
+def _evaluated(value, arg):
+    name, point = arg
+    if not isinstance(value, Polynomial):
+        return value
+    if value.var is not None and value.var != name:
+        raise SpecError(_eval_mismatch(name, value.var))
+    return value.evaluate(point)
+
+
+def _termwise(fn):
+    """A stage that asks for as many terms as it gives and maps fn(term, arg)."""
+    return lambda below, arg, count: [fn(v, arg) for v in below(count)]
+
+
+_TRANSFORMS = {
+    "shift": (_read_shift, None, None, _shift),
+    "double-signed": (None, None, None, _double_signed),
+    "aerate": (None, None, None, _aerate),
+    "consecutive-sum": (None, None, None, _consecutive_sum),
+    "abs": (None, RATIONAL, None, _termwise(lambda v, _: abs(v))),
+    "scale": (_read_scale, None, None, _termwise(lambda v, factor: v * factor)),
+    "eval": (_read_eval, POLYNOMIAL, RATIONAL, _termwise(_evaluated)),
+}

@@ -271,6 +271,16 @@ def test_power_series_truncating_arithmetic():
     assert (a * b)[3] == 1 + 2 + 3 + 4 - 4  # coefficient of z^3 in the product
 
 
+def test_power_series_scalar_products():
+    s = PowerSeries([1, 2, 3])
+    half = s * Fraction(1, 2)
+    assert half.coeffs == (Fraction(1, 2), 1, Fraction(3, 2))
+    assert (2 * s).coeffs == (2, 4, 6)
+    assert all(type(c) is Fraction for c in half.coeffs + (2 * s).coeffs)
+    t = Polynomial.variable_poly("t")
+    assert (s * t).coeffs == (t, 2 * t, 3 * t)
+
+
 def test_power_series_invert_round_trip():
     rng = random.Random(777)
     for _ in range(15):

@@ -6,7 +6,10 @@ These properties hold them to the plain `Fraction` loops, written out
 here, on coefficients, variable and text, and a difference to the sum with
 the negation.  The layout properties check the stored form of every
 result, that no result builds coefficient objects, and that equality and
-hashing follow the coefficients.  A polynomial with `RationalFunction`
+hashing follow the coefficients, also between a `RationalFunction`, a
+`Polynomial` and a `Fraction` of equal value.  Division into a rational
+function and its negative powers go through its reciprocal.  A
+polynomial with `RationalFunction`
 coefficients runs the same loops on its coefficient objects, which the
 last test pins.
 """
@@ -141,6 +144,30 @@ def test_a_constant_stands_for_its_fraction():
     assert {Polynomial.constant(Fraction(3, 2)): 1}[Fraction(3, 2)] == 1
     half_t, third_t = Polynomial.parse("1/2*t"), Polynomial.parse("1/3*t")
     assert half_t.nums == third_t.nums and half_t != third_t
+
+
+@given(POLYS, NONZERO, NONZERO)
+def test_equal_values_hash_alike_across_types(num, den, common):
+    c = num.constant_term
+    values = [RationalFunction(num, den), RationalFunction(num * common, den * common),
+              RationalFunction(num * common, common), num, c,
+              Polynomial.constant(c), RationalFunction(c)]
+    assert values[0] == values[1] and values[2] == values[3]
+    assert values[4] == values[5] == values[6]
+    for a in values:
+        for b in values:
+            if a == b:
+                assert hash(a) == hash(b), (a, b)
+
+
+@given(NONZERO, NONZERO, COEFFICIENTS.filter(bool))
+def test_division_into_and_negative_powers_use_the_reciprocal(num, den, c):
+    x = RationalFunction(num, den)
+    inverse = x.reciprocal()
+    for value, expected in ((1 / x, inverse), (c / x, inverse * c),
+                            (num / x, inverse * num), (x ** -1, inverse),
+                            (x ** -2, inverse * inverse)):
+        assert value == expected and str(value) == str(expected)
 
 
 @given(POLYS, POLYS, COEFFICIENTS)

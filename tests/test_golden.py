@@ -1,10 +1,17 @@
 """Golden CLI outputs: a refactor passes only if it changes no byte.
 
 `golden_cli.json` holds, for a fixed set of commands, the exit code and
-the exact stdout and stderr of `hankelab.cli.run`.  Regenerate it only
-when an output change is intended:
+the exact stdout and stderr of `hankelab.cli.run`.  Recording is
+append-only:
 
     PYTHONPATH=src python tests/test_golden.py --record
+
+writes the outcome of each command in `COMMANDS` that the fixture does
+not hold yet and keeps every stored case byte-for-byte.  If a stored
+case's output now differs, it names that case, exits 1 and writes
+nothing.  For an intended output change, delete that entry from the
+fixture by hand and record again.  A command taken out of `COMMANDS`
+leaves the fixture on the next recording.
 """
 
 from __future__ import annotations
@@ -107,6 +114,23 @@ COMMANDS = (
         ["seq", "narayana|abs:1", "--terms", "2"],
         ["hankel", "catalan", "--n-max", "-1"],
     ]
+    # Each transform's error lines, in the order the parser checks them.
+    + [
+        ["seq", spec, "--terms", "2"]
+        for spec in ("catalan|bogus", "narayana|abs", "catalan|eval:t=1",
+                     "narayana|eval:x=1", "catalan|shift", "catalan|shift:-1",
+                     "catalan|scale", "narayana|eval")
+    ]
+    # Transform pipelines: each stage asks the one below for what it needs.
+    + [
+        ["seq", "catalan|double-signed|aerate|consecutive-sum", "--terms", "9"],
+        ["seq", "narayana|shift:2|eval:t=-1/2|abs", "--terms", "7",
+         "--format", "json"],
+        ["seq", "u:r=2|aerate|double-signed|shift:1", "--terms", "1"],
+        ["seq", "convpoly:m=3|consecutive-sum|aerate", "--terms", "0"],
+        ["hankel", "narayana|double-signed|consecutive-sum", "--n-max", "4"],
+        ["fit", "narayana|aerate|aerate", "--depth", "3"],
+    ]
 )
 
 
@@ -147,5 +171,12 @@ def test_cli_output_is_unchanged(golden, index):
 if __name__ == "__main__":
     if sys.argv[1:] != ["--record"]:
         sys.exit("usage: python tests/test_golden.py --record")
-    cases = [_outcome(argv) for argv in COMMANDS]
+    stored = {tuple(case["argv"]): case for case in
+              json.loads(FIXTURE.read_text(encoding="utf-8"))}
+    changed = [" ".join(argv) for argv in COMMANDS
+               if tuple(argv) in stored and _outcome(argv) != stored[tuple(argv)]]
+    if changed:
+        sys.exit("stored output differs (delete the entry to re-record):\n  "
+                 + "\n  ".join(changed))
+    cases = [stored.get(tuple(argv)) or _outcome(argv) for argv in COMMANDS]
     FIXTURE.write_text(json.dumps(cases, indent=1) + "\n", encoding="utf-8")

@@ -5,14 +5,15 @@ exchanges in `oracles.py` and cofactor expansion.
 
 Specs are a family with up to two transforms.  The explicit examples pin
 specs with vanishing minors, which drive the kernel's zero-pivot
-look-ahead.
+look-ahead and the fit's zero-minor exit.
 
 The recurrence fit is held to the same determinants: where every minor up
 to the depth is nonzero it rebuilds the moments, and its product formula
 and shifted determinant give the elimination's values; otherwise it names
 the first vanishing order.
 
-Every drawn spec also survives a round trip through its text.
+Every drawn spec also survives a round trip through its text, and with up
+to three transforms its terms are the prefix of a longer run of them.
 """
 
 from __future__ import annotations
@@ -51,11 +52,12 @@ TRANSFORMS = ["double-signed", "aerate", "consecutive-sum", "shift", "scale"]
 
 
 @st.composite
-def cases(draw):
-    """(spec, n, offset): n <= 6 for rational specs, n <= 4 for polynomial."""
+def cases(draw, most=2):
+    """(spec, n, offset): a family and up to `most` transforms; n <= 6 for
+    rational specs, n <= 4 for polynomial."""
     text = draw(FAMILIES)
     polynomial = parse_spec(text).kind == POLYNOMIAL
-    for _ in range(draw(st.integers(0, 2))):
+    for _ in range(draw(st.integers(0, most))):
         name = draw(st.sampled_from(TRANSFORMS + ["eval" if polynomial else "abs"]))
         polynomial = polynomial and name != "eval"
         text += "|" + (draw(ARGUMENTS[name]) if name in ARGUMENTS else name)
@@ -86,6 +88,7 @@ def test_every_determinant_matches_the_oracles(case):
 @given(cases())
 @example(("catconv:r=3", 6, 0))
 @example(("narayana", 4, 0))
+@example(("narayana|aerate|aerate", 4, 0))
 def test_every_fit_matches_the_determinants(case):
     spec, n, _ = case
     assume(terms(spec, 1)[0] == 1)
@@ -109,3 +112,9 @@ def test_spec_text_round_trips(case):
     again = parse_spec(str(spec))
     assert again == spec
     assert str(again) == str(spec) == spec.text
+
+
+@given(cases(3))
+def test_terms_are_prefixes_of_longer_runs(case):
+    spec, n, _ = case
+    assert _typed(terms(spec, n)) == _typed(terms(spec, n + 3)[:n])

@@ -3,6 +3,7 @@ identities their closed forms rest on."""
 
 from __future__ import annotations
 
+import dataclasses
 from fractions import Fraction
 
 import pytest
@@ -10,7 +11,9 @@ import pytest
 from hankelab import sequences
 from hankelab.exactnum import Polynomial, PowerSeries
 from hankelab.sequences import (
+    SequenceSpec,
     SpecError,
+    Transform,
     catalan_convolution,
     catalan_number,
     catalan_series,
@@ -192,6 +195,34 @@ def test_parse_spec_reports_positions():
         parse_spec("narayana|abs")  # abs needs a rational sequence
     with pytest.raises(SpecError):
         parse_spec("catalan|eval:t=1")  # eval needs a polynomial sequence
+
+
+def test_terms_rejects_a_bad_transform_in_a_built_spec():
+    spec = SequenceSpec("catalan", None, (Transform("bogus"),))
+    for count in (0, 3):
+        with pytest.raises(SpecError, match="unknown transform 'bogus'"):
+            terms(spec, count)
+    spec = SequenceSpec("catalan", None, (Transform("shift", -1),))
+    with pytest.raises(SpecError, match="shift needs an integer argument >= 0"):
+        terms(spec, 3)
+
+
+@pytest.mark.parametrize("spec, count, asked", [
+    ("catalan|shift:2", 5, [7]),
+    ("catalan|double-signed", 7, [4]),
+    ("catalan|aerate", 7, [4]),
+    ("catalan|consecutive-sum", 4, [5]),
+    ("catalan|double-signed|aerate|consecutive-sum", 9, [3]),
+    ("catalan|abs|scale:2", 6, [6]),
+    ("catalan|shift:3", 0, []),
+])
+def test_each_stage_asks_for_the_terms_it_needs(monkeypatch, spec, count, asked):
+    calls = []
+    family = sequences._FAMILIES["catalan"]
+    monkeypatch.setitem(sequences._FAMILIES, "catalan", dataclasses.replace(
+        family, produce=lambda p, n: calls.append(n) or family.produce(p, n)))
+    assert len(terms(spec, count)) == count
+    assert calls == asked
 
 
 def test_terms_counts():
