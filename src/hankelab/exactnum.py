@@ -30,6 +30,43 @@ class VariableMismatchError(ValueError):
     """Two symbolic values used different variable names."""
 
 
+_set = object.__setattr__
+
+
+class _Frozen:
+    """Base of the package's record classes: `__init__` stores each field
+    with `_set`, and any later assignment raises.  `__slots__` lists the
+    fields in `__init__` order, so copy and pickle rebuild a record by
+    calling its class."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, *_):
+        raise AttributeError(f"{type(self).__name__}.{name} is read-only")
+
+    __delattr__ = __setattr__
+
+    def _fields(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __reduce__(self):
+        return type(self), self._fields()
+
+
+class _Value(_Frozen):
+    """A record that compares and hashes by its fields."""
+
+    __slots__ = ()
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self):
+        return hash(self._fields())
+
+
 def binomial(n: int, k: int) -> int:
     """Binomial coefficient, 0 outside the triangle 0 <= k <= n."""
     if k < 0 or k > n:

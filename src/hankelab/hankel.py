@@ -13,10 +13,11 @@ exchanges as a second one.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from fractions import Fraction
 
-from .exactnum import Polynomial, RationalFunction, _cleared, exact_divide
+from .exactnum import (
+    Polynomial, RationalFunction, _cleared, _Frozen, _set, exact_divide,
+)
 from .sequences import POLYNOMIAL, SequenceSpec, parse_spec, terms
 
 __all__ = [
@@ -70,22 +71,30 @@ def values_text(values, fmt: str) -> str:
     return csv_table(("n", "value"), enumerate(values))
 
 
-@dataclass(frozen=True)
-class HankelMatrix:
-    spec: SequenceSpec
-    offset: int
-    order: int
-    rows: tuple
+class HankelMatrix(_Frozen):
+    """The order-n Hankel matrix of a spec at an offset, as a tuple of rows."""
+
+    __slots__ = ("spec", "offset", "order", "rows")
+
+    def __init__(self, spec: SequenceSpec, offset: int, order: int, rows: tuple):
+        _set(self, "spec", spec)
+        _set(self, "offset", offset)
+        _set(self, "order", order)
+        _set(self, "rows", rows)
 
     def entry(self, i: int, j: int):
         return self.rows[i][j]
 
 
-@dataclass(frozen=True)
-class DetSequence:
-    spec: SequenceSpec
-    offset: int
-    values: tuple
+class DetSequence(_Frozen):
+    """Hankel determinants of orders 0..n_max of a spec at one offset."""
+
+    __slots__ = ("spec", "offset", "values")
+
+    def __init__(self, spec: SequenceSpec, offset: int, values: tuple):
+        _set(self, "spec", spec)
+        _set(self, "offset", offset)
+        _set(self, "values", values)
 
     def __getitem__(self, n: int):
         return self.values[n]

@@ -13,10 +13,11 @@ collapse, and the moment-pencil determinant identity.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
-from .exactnum import Polynomial, RationalFunction, _cleared, exact_divide
+from .exactnum import (
+    Polynomial, RationalFunction, _cleared, _Frozen, _set, exact_divide,
+)
 from .hankel import csv_table, det_exact, json_table
 from .sequences import parse_spec, terms
 
@@ -48,16 +49,16 @@ class ZeroHankelMinorError(ArithmeticError):
         self.order = order
 
 
-@dataclass(frozen=True)
-class JacobiData:
+class JacobiData(_Frozen):
     """Recurrence coefficients s(0..depth-1) and t(0..depth-2) or t(0..depth-1)."""
 
-    s: tuple
-    t: tuple
+    __slots__ = ("s", "t")
 
-    def __post_init__(self):
-        if len(self.t) < len(self.s) - 1:
+    def __init__(self, s: tuple, t: tuple):
+        if len(t) < len(s) - 1:
             raise ValueError("t must reach at least depth - 1")
+        _set(self, "s", s)
+        _set(self, "t", t)
 
     @property
     def depth(self) -> int:
@@ -78,9 +79,11 @@ class JacobiData:
         return csv_table(("k", "s", "t"), rows)
 
 
-@dataclass(frozen=True)
-class Triangle:
-    rows: tuple
+class Triangle(_Frozen):
+    __slots__ = ("rows",)
+
+    def __init__(self, rows: tuple):
+        _set(self, "rows", rows)
 
     def row(self, n: int) -> tuple:
         return self.rows[n]
@@ -333,14 +336,16 @@ def moment_functional(moments, poly: Polynomial):
     return total if total is not None else Fraction(0)
 
 
-@dataclass(frozen=True)
-class PencilCheck:
+class PencilCheck(_Frozen):
     """Both sides of det(a(i+j) x0 - a(i+j+1)) = det(a(i+j)) p(n, x0)."""
 
-    order: int
-    point: object
-    lhs: object
-    rhs: object
+    __slots__ = ("order", "point", "lhs", "rhs")
+
+    def __init__(self, order: int, point, lhs, rhs):
+        _set(self, "order", order)
+        _set(self, "point", point)
+        _set(self, "lhs", lhs)
+        _set(self, "rhs", rhs)
 
     @property
     def matches(self) -> bool:

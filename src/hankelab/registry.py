@@ -11,10 +11,11 @@ counterexamples instead of being treated as fatal.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
-from .exactnum import Polynomial, PowerSeries, RationalFunction, binomial
+from .exactnum import (
+    Polynomial, PowerSeries, RationalFunction, _Frozen, _set, _Value, binomial,
+)
 from .hankel import csv_table, det_sequence, json_table
 from .lattice import dual_sum_closed
 from .orthopoly import JacobiData
@@ -200,23 +201,30 @@ def _cf_d8(n, r):
 # -- the id table -----------------------------------------------------
 
 
-@dataclass(frozen=True)
-class FormulaInfo:
+class FormulaInfo(_Frozen):
     """What a formula id verifies: spec, offset, scale, and proof status."""
 
-    id: str
-    spec_template: str | None
-    offset: int
-    label: str
-    r_domain: tuple | None
-    default_n_max: int
-    summary: str
+    __slots__ = ("id", "spec_template", "offset", "label", "r_domain",
+                 "default_n_max", "summary")
+
+    def __init__(self, id: str, spec_template: str | None, offset: int,
+                 label: str, r_domain: tuple | None, default_n_max: int,
+                 summary: str):
+        _set(self, "id", id)
+        _set(self, "spec_template", spec_template)
+        _set(self, "offset", offset)
+        _set(self, "label", label)
+        _set(self, "r_domain", r_domain)
+        _set(self, "default_n_max", default_n_max)
+        _set(self, "summary", summary)
 
 
-@dataclass(frozen=True)
-class _Record:
-    info: FormulaInfo
-    fn: object
+class _Record(_Frozen):
+    __slots__ = ("info", "fn")
+
+    def __init__(self, info: FormulaInfo, fn):
+        _set(self, "info", info)
+        _set(self, "fn", fn)
 
 
 def _rec(id, spec, offset, label, r_domain, n_max, summary, fn):
@@ -367,16 +375,22 @@ def closed_form(id: str, n: int, r: int | None = None):
 # -- reports -----------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ReportEntry:
-    n: int
-    expected: object
-    got: object
-    status: str
-    k: int | None = None
-    r: int | None = None
-    note: str | None = None
-    reason: str | None = None
+class ReportEntry(_Value):
+    """One compared value of a report: index, both sides and the status."""
+
+    __slots__ = ("n", "expected", "got", "status", "k", "r", "note", "reason")
+
+    def __init__(self, n: int, expected, got, status: str, k: int | None = None,
+                 r: int | None = None, note: str | None = None,
+                 reason: str | None = None):
+        _set(self, "n", n)
+        _set(self, "expected", expected)
+        _set(self, "got", got)
+        _set(self, "status", status)
+        _set(self, "k", k)
+        _set(self, "r", r)
+        _set(self, "note", note)
+        _set(self, "reason", reason)
 
 
 # Report columns in output order.  The optional ones appear in the CSV
@@ -390,22 +404,29 @@ def _json_value(column: str, value):
     return str(value) if column in ("expected", "got") and value is not None else value
 
 
-@dataclass(frozen=True)
-class Counterexample:
-    id: str
-    n: int
-    k: int | None
-    expected: object
-    got: object
+class Counterexample(_Value):
+    """A mismatch that `scan` records instead of treating it as fatal."""
+
+    __slots__ = ("id", "n", "k", "expected", "got")
+
+    def __init__(self, id: str, n: int, k: int | None, expected, got):
+        _set(self, "id", id)
+        _set(self, "n", n)
+        _set(self, "k", k)
+        _set(self, "expected", expected)
+        _set(self, "got", got)
 
 
-@dataclass(frozen=True)
-class VerificationReport:
-    id: str
-    label: str
-    params: dict
-    entries: tuple
-    counterexamples: tuple
+class VerificationReport(_Frozen):
+    __slots__ = ("id", "label", "params", "entries", "counterexamples")
+
+    def __init__(self, id: str, label: str, params: dict, entries: tuple,
+                 counterexamples: tuple):
+        _set(self, "id", id)
+        _set(self, "label", label)
+        _set(self, "params", params)
+        _set(self, "entries", entries)
+        _set(self, "counterexamples", counterexamples)
 
     @property
     def verdict(self) -> str:
@@ -419,7 +440,7 @@ class VerificationReport:
             for e in self.entries
         ]
         counterexamples = [
-            {key: _json_value(key, val) for key, val in vars(c).items()}
+            {key: _json_value(key, getattr(c, key)) for key in c.__slots__}
             for c in self.counterexamples
         ]
         return json_table({

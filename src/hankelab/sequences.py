@@ -10,11 +10,10 @@ transforms that only make sense for one kind are rejected at parse time.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
 
-from .exactnum import Polynomial, PowerSeries, binomial
+from .exactnum import Polynomial, PowerSeries, _Frozen, _set, _Value, binomial
 
 __all__ = [
     "SpecError",
@@ -202,10 +201,14 @@ def q_integer(n: int, q):
 # -- spec string grammar -----------------------------------------------
 
 
-@dataclass(frozen=True)
-class Transform:
-    name: str
-    arg: object = None
+class Transform(_Value):
+    """A pipeline stage: the name of a `_TRANSFORMS` row and its argument."""
+
+    __slots__ = ("name", "arg")
+
+    def __init__(self, name: str, arg: object = None):
+        _set(self, "name", name)
+        _set(self, "arg", arg)
 
     @property
     def text(self) -> str:
@@ -217,11 +220,16 @@ class Transform:
         return f"{self.name}:{self.arg}"
 
 
-@dataclass(frozen=True)
-class SequenceSpec:
-    family: str
-    param: int | None
-    transforms: tuple[Transform, ...]
+class SequenceSpec(_Value):
+    """A family, its parameter (None if it takes none) and its transforms."""
+
+    __slots__ = ("family", "param", "transforms")
+
+    def __init__(self, family: str, param: int | None,
+                 transforms: tuple[Transform, ...]):
+        _set(self, "family", family)
+        _set(self, "param", param)
+        _set(self, "transforms", transforms)
 
     @property
     def kind(self) -> str:
@@ -234,19 +242,25 @@ class SequenceSpec:
     def text(self) -> str:
         head = self.family
         if self.param is not None:
-            head = f"{head}:{_FAMILIES[self.family].param_key}={self.param}"
+            key = getattr(_FAMILIES.get(self.family), "param_key", None)
+            head = f"{head}:{key}={self.param}"
         return "|".join([head] + [tr.text for tr in self.transforms])
 
     def __str__(self) -> str:
         return self.text
 
 
-@dataclass(frozen=True)
-class _Family:
-    kind: str
-    param_key: str | None
-    produce: object  # (param, count) -> list of values
-    var: str | None = None  # variable of a polynomial family
+class _Family(_Frozen):
+    """How a family makes its terms: `produce(param, count)` gives a list."""
+
+    __slots__ = ("kind", "param_key", "produce", "var")
+
+    def __init__(self, kind: str, param_key: str | None, produce,
+                 var: str | None = None):
+        _set(self, "kind", kind)
+        _set(self, "param_key", param_key)
+        _set(self, "produce", produce)
+        _set(self, "var", var)  # variable of a polynomial family
 
 
 def _plain(fn):
@@ -324,9 +338,18 @@ def parse_spec(text: str) -> SequenceSpec:
 
 
 def terms(spec: SequenceSpec | str, count: int) -> list:
-    """First `count` terms of the sequence a spec describes."""
+    """First `count` terms of the sequence a spec describes.
+
+    A `SequenceSpec` must equal the parse of its text, and runs as that
+    parse, so one built by hand meets every check a spec string meets.
+    """
     if isinstance(spec, str):
         spec = parse_spec(spec)
+    else:
+        parsed = parse_spec(spec.text)
+        if parsed != spec:
+            raise SpecError(f"spec does not match its text {spec.text!r}")
+        spec = parsed
     if count < 0:
         raise ValueError("count must be >= 0")
     stage = partial(_FAMILIES[spec.family].produce, spec.param)
@@ -383,17 +406,13 @@ def _read_eval(text, var, position) -> tuple:
     if value is None:
         raise SpecError("eval needs an argument like t=-1", position)
     if name != var:
-        raise SpecError(_eval_mismatch(name, var), position)
+        raise SpecError(
+            f"eval argument {name!r} does not match variable {var!r}", position
+        )
     return name, value
 
 
-def _eval_mismatch(name: str, var: str) -> str:
-    return f"eval argument {name!r} does not match variable {var!r}"
-
-
 def _shift(below, k, count: int) -> list:
-    if k < 0:  # a spec built by hand skips the reader
-        raise SpecError("shift needs an integer argument >= 0")
     return below(count + k)[k:]
 
 
@@ -416,12 +435,7 @@ def _consecutive_sum(below, _, count: int) -> list:
 
 
 def _evaluated(value, arg):
-    name, point = arg
-    if not isinstance(value, Polynomial):
-        return value
-    if value.var is not None and value.var != name:
-        raise SpecError(_eval_mismatch(name, value.var))
-    return value.evaluate(point)
+    return value.evaluate(arg[1]) if isinstance(value, Polynomial) else value
 
 
 def _termwise(fn):

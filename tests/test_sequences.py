@@ -3,7 +3,6 @@ identities their closed forms rest on."""
 
 from __future__ import annotations
 
-import dataclasses
 from fractions import Fraction
 
 import pytest
@@ -207,6 +206,24 @@ def test_terms_rejects_a_bad_transform_in_a_built_spec():
         terms(spec, 3)
 
 
+def test_terms_checks_a_built_spec_as_its_text_parses():
+    spec = SequenceSpec("catalan", None, (Transform("shift", None),))
+    with pytest.raises(SpecError, match="shift needs an integer argument >= 0"):
+        terms(spec, 5)
+    spec = SequenceSpec("catalan", None, (Transform("eval", ("t", 2)),))
+    with pytest.raises(SpecError, match="eval only applies to polynomial"):
+        terms(spec, 5)
+    spec = SequenceSpec("catalan", None, (Transform("scale", "2"),))
+    with pytest.raises(SpecError, match="does not match its text"):
+        terms(spec, 5)
+    with pytest.raises(SpecError, match="unknown family 'bogus'"):
+        terms(SequenceSpec("bogus", 2, ()), 5)
+    spec = SequenceSpec("narayana", None, (Transform("eval", ("t", 2)),))
+    assert terms(spec, 6) == terms("narayana|eval:t=2", 6)
+    spec = SequenceSpec("catalan", None, (Transform("scale", 0.5),))
+    assert all(type(v) is Fraction for v in terms(spec, 6))
+
+
 @pytest.mark.parametrize("spec, count, asked", [
     ("catalan|shift:2", 5, [7]),
     ("catalan|double-signed", 7, [4]),
@@ -219,8 +236,9 @@ def test_terms_rejects_a_bad_transform_in_a_built_spec():
 def test_each_stage_asks_for_the_terms_it_needs(monkeypatch, spec, count, asked):
     calls = []
     family = sequences._FAMILIES["catalan"]
-    monkeypatch.setitem(sequences._FAMILIES, "catalan", dataclasses.replace(
-        family, produce=lambda p, n: calls.append(n) or family.produce(p, n)))
+    monkeypatch.setitem(sequences._FAMILIES, "catalan", sequences._Family(
+        family.kind, family.param_key,
+        lambda p, n: calls.append(n) or family.produce(p, n), family.var))
     assert len(terms(spec, count)) == count
     assert calls == asked
 
