@@ -115,7 +115,8 @@ class Polynomial:
 
     def __init__(self, coeffs=(), var: str | None = None):
         (nums,), den = _cleared([self._coerce(c, var) for c in coeffs])
-        self._store(nums, den, var)
+        if self._store(nums, den, var).var is None and len(self.nums) > 1:
+            raise ValueError("a nonconstant polynomial needs a variable")
 
     def _store(self, nums: list, den: int, var: str | None) -> "Polynomial":
         while nums and not nums[-1]:

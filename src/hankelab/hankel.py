@@ -31,10 +31,6 @@ __all__ = [
 ]
 
 
-def _as_spec(spec) -> SequenceSpec:
-    return parse_spec(spec) if isinstance(spec, str) else spec
-
-
 def _ring_one(spec: SequenceSpec):
     return Polynomial.one() if spec.kind == POLYNOMIAL else Fraction(1)
 
@@ -111,13 +107,10 @@ class DetSequence(_Frozen):
 
 def hankel_matrix(spec, n: int, offset: int = 0) -> HankelMatrix:
     """n-by-n matrix with entry(i, j) the (i+j+offset)-th sequence term."""
-    spec = _as_spec(spec)
+    spec = parse_spec(spec)
     if n < 0:
         raise ValueError("order must be >= 0")
-    if offset < 0:
-        raise ValueError("offset must be >= 0")
-    values = terms(spec, 2 * n - 1 + offset if n else 0)
-    rows = tuple(map(tuple, _square(values, n, offset)))
+    rows = tuple(map(tuple, _hankel_rows(spec, n, offset)))
     return HankelMatrix(spec, offset, n, rows)
 
 
@@ -130,23 +123,13 @@ def det_exact(matrix, one=None):
     `det_sequence` runs: its look-ahead adds a row i < n to a row above,
     which keeps every minor of order above i, so D_n is the determinant.
     """
-    if isinstance(matrix, HankelMatrix):
-        rows = matrix.rows
-        one = _ring_one(matrix.spec)
-    else:
-        rows = matrix
-        if one is None:
-            one = Fraction(1)
+    rows, one = _matrix(matrix, one)
     return _minors(rows, one)[-1] if rows else one
 
 
 def det_cofactor(rows, one=None):
     """Determinant by first-row cofactor expansion; test oracle only."""
-    if isinstance(rows, HankelMatrix):
-        one = _ring_one(rows.spec)
-        rows = rows.rows
-    if one is None:
-        one = Fraction(1)
+    rows, one = _matrix(rows, one)
     n = len(rows)
     if n == 0:
         return one
@@ -221,14 +204,27 @@ def det_sequence(spec, n_max: int, offset: int = 0) -> DetSequence:
     All orders come from one elimination of the order-n_max matrix;
     rational entries are eliminated as Python ints (see `_minors`).
     """
-    spec = _as_spec(spec)
+    spec = parse_spec(spec)
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
-    values = terms(spec, 2 * n_max - 1 + offset if n_max else 0)
     one = _ring_one(spec)
-    minors = _minors(_square(values, n_max, offset), one)
+    minors = _minors(_hankel_rows(spec, n_max, offset), one)
     return DetSequence(spec, offset, (one, *minors))
 
 
-def _square(values, n: int, offset: int) -> list:
+def _hankel_rows(spec: SequenceSpec, n: int, offset: int) -> list:
+    """Rows a(i + j + offset), i, j < n, of a parsed spec's terms."""
+    if offset < 0:
+        raise ValueError("offset must be >= 0")
+    values = terms(spec, 2 * n - 1 + offset if n else 0)
     return [[values[i + j + offset] for j in range(n)] for i in range(n)]
+
+
+def _matrix(matrix, one) -> tuple:
+    """Rows and ring unit of a HankelMatrix, or of plain rows with `one`
+    (default Fraction(1)); the rows must be square."""
+    if isinstance(matrix, HankelMatrix):
+        matrix, one = matrix.rows, _ring_one(matrix.spec)
+    if any(len(row) != len(matrix) for row in matrix):
+        raise ValueError("matrix must be square")
+    return matrix, Fraction(1) if one is None else one

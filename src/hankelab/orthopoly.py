@@ -19,7 +19,7 @@ from .exactnum import (
     Polynomial, RationalFunction, _cleared, _Frozen, _set, exact_divide,
 )
 from .hankel import csv_table, det_exact, json_table
-from .sequences import parse_spec, terms
+from .sequences import terms
 
 __all__ = [
     "ZeroHankelMinorError",
@@ -195,9 +195,7 @@ def _fit_integers(moments: list, depth: int):
 
 
 def fit_spec(spec, depth: int) -> JacobiData:
-    """Fit straight from a sequence spec."""
-    if isinstance(spec, str):
-        spec = parse_spec(spec)
+    """Fit straight from a sequence spec (text or `SequenceSpec`)."""
     # At depth 0 the fit still reads a(0), so ask for at least one term.
     return fit_recurrence(terms(spec, max(2 * depth, 1)), depth)
 

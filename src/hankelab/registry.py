@@ -686,8 +686,8 @@ def aerated_u_p0(n: int, r: int) -> Fraction:
 
 def u_family_recurrence(r: int, depth: int) -> JacobiData:
     """s = r, 2, 2, ...; t = r, 1, 1, ..."""
-    s = (Fraction(r),) + (Fraction(2),) * (depth - 1)
-    t = ((Fraction(r),) + (Fraction(1),) * (depth - 2)) if depth > 1 else ()
+    s = ((Fraction(r),) + (Fraction(2),) * depth)[:depth]
+    t = ((Fraction(r),) + (Fraction(1),) * depth)[:max(depth - 1, 0)]
     return JacobiData(s, t)
 
 
@@ -712,7 +712,7 @@ def type_b_recurrence(depth: int) -> JacobiData:
 
 def double_signed_u_recurrence(r: int, depth: int) -> JacobiData:
     """Recurrence data of the double-signed u-sequence moments."""
-    s = [Fraction(-r)]
+    s = [Fraction(-r)][:depth]
     for k in range(1, depth):
         num = Fraction(r * r + r - 1, 1)
         val = num / (f_number(k, r) * f_number(k + 1, r))

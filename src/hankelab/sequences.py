@@ -287,7 +287,15 @@ _FAMILIES: dict[str, _Family] = {
 }
 
 
-def parse_spec(text: str) -> SequenceSpec:
+def parse_spec(text: str | SequenceSpec) -> SequenceSpec:
+    """The spec a string names.  A `SequenceSpec` must equal the parse of
+    its text and resolves to that parse, so one built by hand meets every
+    check a spec string meets."""
+    if isinstance(text, SequenceSpec):
+        parsed = parse_spec(text.text)
+        if parsed != text:
+            raise SpecError(f"spec does not match its text {text.text!r}")
+        return parsed
     first, *pieces = text.split("|")
     head = first.strip()
     if ":" in head:
@@ -338,18 +346,9 @@ def parse_spec(text: str) -> SequenceSpec:
 
 
 def terms(spec: SequenceSpec | str, count: int) -> list:
-    """First `count` terms of the sequence a spec describes.
-
-    A `SequenceSpec` must equal the parse of its text, and runs as that
-    parse, so one built by hand meets every check a spec string meets.
-    """
-    if isinstance(spec, str):
-        spec = parse_spec(spec)
-    else:
-        parsed = parse_spec(spec.text)
-        if parsed != spec:
-            raise SpecError(f"spec does not match its text {spec.text!r}")
-        spec = parsed
+    """First `count` terms of the sequence a spec describes; the spec is
+    resolved by `parse_spec`."""
+    spec = parse_spec(spec)
     if count < 0:
         raise ValueError("count must be >= 0")
     stage = partial(_FAMILIES[spec.family].produce, spec.param)

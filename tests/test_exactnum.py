@@ -156,6 +156,15 @@ def test_polynomial_variable_mismatch():
     assert Polynomial.constant(3) + t == Polynomial((3, 1), "t")
 
 
+def test_a_nonconstant_polynomial_needs_a_variable():
+    with pytest.raises(ValueError, match="needs a variable"):
+        Polynomial((1, 2))
+    for coeffs, value in (((5,), 5), ((1, 0), 1), ((), 0)):
+        constant = Polynomial(coeffs)
+        assert constant.var is None and constant.degree <= 0
+        assert constant == Polynomial.constant(value)
+
+
 def test_polynomial_evaluate_and_compose():
     rng = random.Random(5521)
     for _ in range(20):

@@ -22,7 +22,10 @@ from hankelab.hankel import (
     hankel_matrix,
     json_table,
 )
-from hankelab.sequences import POLYNOMIAL, parse_spec, terms
+from hankelab.orthopoly import fit_spec
+from hankelab.sequences import (
+    POLYNOMIAL, SequenceSpec, SpecError, Transform, parse_spec, terms,
+)
 from oracles import bareiss_det
 
 
@@ -100,6 +103,13 @@ def test_empty_determinant_is_one():
     assert det_exact(hankel_matrix("catalan", 0)) == Fraction(1)
     poly_one = det_exact(hankel_matrix("narayana", 0))
     assert poly_one == Polynomial.one()
+
+
+@pytest.mark.parametrize("det", [det_exact, det_cofactor])
+@pytest.mark.parametrize("rows", [[[1, 2]], [[1, 2], [3, 4, 5]], [[1, 2], [3]]])
+def test_determinants_refuse_a_non_square_matrix(det, rows):
+    with pytest.raises(ValueError, match="matrix must be square"):
+        det(rows)
 
 
 def test_two_by_two_integer_example():
@@ -186,6 +196,28 @@ def test_hankel_matrix_validation():
         hankel_matrix("catalan", -1)
     with pytest.raises(ValueError):
         hankel_matrix("catalan", 2, offset=-1)
+    for n_max in (0, 1, 2):
+        with pytest.raises(ValueError, match="offset must be >= 0"):
+            det_sequence("catalan", n_max, offset=-1)
+
+
+SPEC_ENTRY_POINTS = [
+    lambda spec: terms(spec, 6),
+    lambda spec: hankel_matrix(spec, 3).rows,
+    lambda spec: det_sequence(spec, 3).values,
+    lambda spec: fit_spec(spec, 3).csv_text(),
+]
+
+
+@pytest.mark.parametrize("entry", SPEC_ENTRY_POINTS)
+def test_every_spec_entry_point_resolves_a_built_spec_by_parse_spec(entry):
+    bad = SequenceSpec("catalan", None, (Transform("shift", None),))
+    with pytest.raises(SpecError, match="shift needs an integer argument >= 0"):
+        entry(bad)
+    with pytest.raises(SpecError, match="does not match its text"):
+        entry(SequenceSpec("catalan", None, (Transform("scale", "2"),)))
+    built = SequenceSpec("narayana", None, (Transform("shift", 1),))
+    assert entry(built) == entry("narayana|shift:1")
 
 
 def test_det_sequence_first_value_is_ring_one():

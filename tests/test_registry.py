@@ -23,6 +23,7 @@ from hankelab.registry import (
     _cf_odd_conv,
     _compared,
     _gather_counterexamples,
+    aerated_narayana_recurrence,
     aerated_u_p0,
     aerated_u_weights,
     binomial_sum_identity,
@@ -274,6 +275,31 @@ def _assert_same_recurrence(built, fitted):
         assert a == b
     for a, b in zip(fitted.t, built.t):
         assert a == b
+
+
+REFERENCE_BUILDERS = [
+    lambda depth: u_family_recurrence(3, depth),
+    lambda depth: double_signed_u_recurrence(3, depth),
+    shifted_catalan_recurrence,
+    shifted_narayana_recurrence,
+    type_b_recurrence,
+    aerated_narayana_recurrence,
+    conv4_recurrence,
+    conv4_poly_recurrence,
+]
+
+
+@pytest.mark.parametrize("build", REFERENCE_BUILDERS)
+@pytest.mark.parametrize("depth", [0, 1, 2])
+def test_reference_builders_have_the_depth_they_are_asked_for(build, depth):
+    data = build(depth)
+    assert len(data.s) == depth
+    assert len(data.t) == max(depth - 1, 0)
+
+
+def test_aeration_weights_at_count_zero_are_empty():
+    assert aerated_u_weights(3, 0) == []
+    assert double_signed_u_aerated_t(3, 0) == []
 
 
 def test_recurrence_builders_match_fits():

@@ -222,6 +222,8 @@ def test_terms_checks_a_built_spec_as_its_text_parses():
     assert terms(spec, 6) == terms("narayana|eval:t=2", 6)
     spec = SequenceSpec("catalan", None, (Transform("scale", 0.5),))
     assert all(type(v) is Fraction for v in terms(spec, 6))
+    assert parse_spec(spec) == spec
+    assert type(parse_spec(spec).transforms[0].arg) is Fraction
 
 
 @pytest.mark.parametrize("spec, count, asked", [

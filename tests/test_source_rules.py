@@ -1,17 +1,20 @@
 """Rules on the package source itself: invariants are real exceptions,
 so they still hold under `python -O`, which strips `assert` statements;
-the package needs nothing beyond the standard library; and importing the
+the package needs nothing beyond the standard library; importing the
 CLI stays off `dataclasses` and `inspect`, which every command would pay
-for at start-up."""
+for at start-up; the public names stay what they are; and the names the
+benchmark tracer wraps stay where it looks for them."""
 
 from __future__ import annotations
 
 import ast
+import importlib
 import subprocess
 import sys
 from pathlib import Path
 
 import hankelab
+import hankelab.cli
 
 SOURCES = sorted(Path(hankelab.__file__).parent.glob("*.py"))
 
@@ -61,3 +64,97 @@ def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "[]\n"
+
+
+# The package's public names, in order, under the layer that defines each.
+PUBLIC_NAMES = {
+    "exactnum": (
+        "Polynomial", "PowerSeries", "RationalFunction", "VariableMismatchError",
+        "binomial", "exact_divide", "poly_gcd",
+    ),
+    "hankel": (
+        "DetSequence", "HankelMatrix", "csv_cell", "det_cofactor", "det_exact",
+        "det_sequence", "hankel_matrix",
+    ),
+    "lattice": (
+        "LGV_LIMIT", "dual_sum", "dual_sum_closed", "dual_sum_total",
+        "lgv_bruteforce", "lgv_matrix", "weighted_triangle_entry",
+    ),
+    "orthopoly": (
+        "JacobiData", "PencilCheck", "Triangle", "ZeroHankelMinorError",
+        "aerated_triangle", "aeration_collapse", "det_product_formula",
+        "fit_recurrence", "fit_spec", "moment_functional",
+        "moments_from_recurrence", "ortho_value", "pencil_identity_check",
+        "poly_from_recurrence", "shifted_det", "triangle",
+    ),
+    "registry": (
+        "Counterexample", "FormulaInfo", "ReportEntry", "VerificationReport",
+        "binomial_sum_identity", "binomial_sum_series", "closed_form",
+        "formula_ids", "formula_info", "scan", "verify",
+    ),
+    "sequences": (
+        "SequenceSpec", "SpecError", "Transform", "catalan_convolution",
+        "catalan_number", "catalan_series", "conv_poly", "f_number",
+        "fibonacci_number", "fibonacci_poly", "lucas_number", "lucas_poly",
+        "narayana_b_poly", "narayana_poly", "narayana_series", "parse_spec",
+        "q_integer", "terms", "u_number",
+    ),
+}
+
+
+def test_the_public_names_are_pinned_in_order():
+    pinned = [name for names in PUBLIC_NAMES.values() for name in names]
+    assert len(pinned) == 67
+    assert hankelab.__all__ == pinned
+    for layer, names in PUBLIC_NAMES.items():
+        module = importlib.import_module(f"hankelab.{layer}")
+        for name in names:
+            assert name in module.__all__
+            assert getattr(hankelab, name) is getattr(module, name)
+
+
+# `perfbench/tracer.py` imports `hankelab.cli`, then wraps each layer's
+# public functions in every module that binds them, the report renderers
+# on their classes and the counted `exactnum` operations.  Only the
+# benchmark's own tests exercised these names, so a rename or a lazy
+# import could break the tracer unseen.  The rule holds until tracing
+# moves into the package (ROADMAP open item 5).
+TRACED_ALIASES = (
+    ("hankel", "terms", "sequences"),
+    ("orthopoly", "terms", "sequences"),
+    ("cli", "terms", "sequences"),
+    ("registry", "det_sequence", "hankel"),
+    ("cli", "det_sequence", "hankel"),
+    ("orthopoly", "det_exact", "hankel"),
+    ("cli", "det_exact", "hankel"),
+    ("hankel", "exact_divide", "exactnum"),
+    ("cli", "fit_spec", "orthopoly"),
+)
+SPAN_LAYERS = ("registry", "lattice", "orthopoly", "hankel", "sequences")
+RENDERERS = (
+    ("hankel", "DetSequence"),
+    ("orthopoly", "JacobiData"),
+    ("registry", "VerificationReport"),
+)
+COUNTED_METHODS = (
+    ("Polynomial", ("__mul__", "__rmul__", "__add__", "__radd__")),
+    ("PowerSeries", ("__mul__", "__rmul__", "invert", "__pow__")),
+    ("RationalFunction",
+     ("__add__", "__radd__", "__mul__", "__rmul__", "__truediv__", "__pow__")),
+)
+
+
+def test_the_names_the_benchmark_tracer_wraps_stay_bound():
+    layers = {name: sys.modules[f"hankelab.{name}"] for name in SPAN_LAYERS}
+    for user, name, owner in TRACED_ALIASES:
+        used = getattr(sys.modules[f"hankelab.{user}"], name)
+        assert used is getattr(sys.modules[f"hankelab.{owner}"], name)
+    for module in layers.values():
+        assert all(hasattr(module, name) for name in module.__all__)
+    for layer, cls in RENDERERS:
+        assert {"csv_text", "json_text"} <= set(vars(getattr(layers[layer], cls)))
+    for cls, methods in COUNTED_METHODS:
+        assert set(methods) <= set(vars(getattr(hankelab.exactnum, cls)))
+    for fn in (hankelab.exactnum.poly_gcd, hankelab.exactnum.exact_divide,
+               layers["sequences"].narayana_series):
+        assert callable(fn)
