@@ -91,11 +91,29 @@ def _power(base, exponent: int):
         base = base * base
 
 
-_TERM = re.compile(
+# One term of polynomial text.  `Polynomial.parse` compiles it on first
+# use (`re` caches the result), so no import pays for the compile.
+_TERM = (
     r"\s*([+-])?\s*"
     r"(?:(\d+(?:/\d+)?)\s*\*?\s*)?"
     r"(?:([A-Za-z_]\w*)\s*(?:\^\s*(\d+))?)?"
 )
+
+
+# Subtraction, shared by Polynomial and RationalFunction: each brings
+# `_wrap_other` for the other operand and `_minus` for the difference.
+def _sub(self, other):
+    rhs = self._wrap_other(other)
+    if rhs is None:
+        return NotImplemented
+    return self._minus(rhs)
+
+
+def _rsub(self, other):
+    rhs = self._wrap_other(other)
+    if rhs is None:
+        return NotImplemented
+    return rhs._minus(self)
 
 
 class Polynomial:
@@ -174,10 +192,11 @@ class Polynomial:
         if src in ("", "0"):
             return cls.zero()
         terms: dict[int, Fraction] = {}
+        term = re.compile(_TERM)
         pos = 0
         first = True
         while pos < len(src):
-            m = _TERM.match(src, pos)
+            m = term.match(src, pos)
             if not m or m.end() == pos or (m.group(2) is None and m.group(3) is None):
                 raise ValueError(f"cannot parse polynomial {text!r} at offset {pos}")
             sign, number, name, power = m.groups()
@@ -270,17 +289,8 @@ class Polynomial:
         out += a[len(b):] if len(a) > len(b) else [-y for y in b[len(a):]]
         return _make(out, den, var)
 
-    def __sub__(self, other):
-        rhs = self._wrap_other(other)
-        if rhs is None:
-            return NotImplemented
-        return self._minus(rhs)
-
-    def __rsub__(self, other):
-        rhs = self._wrap_other(other)
-        if rhs is None:
-            return NotImplemented
-        return rhs._minus(self)
+    __sub__ = _sub
+    __rsub__ = _rsub
 
     def __mul__(self, other):
         rhs = self._wrap_other(other)
@@ -566,17 +576,8 @@ class RationalFunction:
             self.num * rhs.den - rhs.num * self.den, self.den * rhs.den
         )
 
-    def __sub__(self, other):
-        rhs = self._wrap_other(other)
-        if rhs is None:
-            return NotImplemented
-        return self._minus(rhs)
-
-    def __rsub__(self, other):
-        rhs = self._wrap_other(other)
-        if rhs is None:
-            return NotImplemented
-        return rhs._minus(self)
+    __sub__ = _sub
+    __rsub__ = _rsub
 
     def __mul__(self, other):
         rhs = self._wrap_other(other)
@@ -689,21 +690,16 @@ class PowerSeries:
             raise ValueError(f"cannot extend order {self.order} series to {order}")
         return PowerSeries(self.coeffs[: order + 1])
 
+    # zip stops at the shorter operand, which is the truncation.
     def __add__(self, other):
         if not isinstance(other, PowerSeries):
             return NotImplemented
-        n = min(self.order, other.order)
-        return PowerSeries(
-            [self.coeffs[i] + other.coeffs[i] for i in range(n + 1)]
-        )
+        return PowerSeries([x + y for x, y in zip(self.coeffs, other.coeffs)])
 
     def __sub__(self, other):
         if not isinstance(other, PowerSeries):
             return NotImplemented
-        n = min(self.order, other.order)
-        return PowerSeries(
-            [self.coeffs[i] - other.coeffs[i] for i in range(n + 1)]
-        )
+        return PowerSeries([x - y for x, y in zip(self.coeffs, other.coeffs)])
 
     def __mul__(self, other):
         if _is_scalar(other) or isinstance(other, (Polynomial, RationalFunction)):

@@ -12,7 +12,6 @@ exchanges as a second one.
 
 from __future__ import annotations
 
-import json
 from fractions import Fraction
 
 from .exactnum import (
@@ -57,6 +56,8 @@ def csv_table(header, rows, *trailer) -> str:
 
 def json_table(payload) -> str:
     """JSON text of a payload whose exact values are already strings."""
+    import json  # here, so CSV commands do not import it
+
     return json.dumps(payload, indent=2) + "\n"
 
 

@@ -13,12 +13,9 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .exactnum import (
-    Polynomial, PowerSeries, RationalFunction, _Frozen, _set, _Value, binomial,
-)
+from .exactnum import Polynomial, PowerSeries, _Frozen, _set, _Value, binomial
 from .hankel import csv_table, det_sequence, json_table
 from .lattice import dual_sum_closed
-from .orthopoly import JacobiData
 from .sequences import (
     catalan_convolution,
     catalan_series,
@@ -40,18 +37,6 @@ __all__ = [
     "scan",
     "binomial_sum_identity",
     "binomial_sum_series",
-    "h_value",
-    "aerated_u_p0",
-    "u_family_recurrence",
-    "shifted_catalan_recurrence",
-    "shifted_narayana_recurrence",
-    "type_b_recurrence",
-    "double_signed_u_recurrence",
-    "double_signed_u_aerated_t",
-    "aerated_u_weights",
-    "aerated_narayana_recurrence",
-    "conv4_recurrence",
-    "conv4_poly_recurrence",
 ]
 
 
@@ -219,119 +204,109 @@ class FormulaInfo(_Frozen):
         _set(self, "summary", summary)
 
 
-class _Record(_Frozen):
-    __slots__ = ("info", "fn")
-
-    def __init__(self, info: FormulaInfo, fn):
-        _set(self, "info", info)
-        _set(self, "fn", fn)
-
-
-def _rec(id, spec, offset, label, r_domain, n_max, summary, fn):
-    info = FormulaInfo(id, spec, offset, label, r_domain, n_max, summary)
-    return id, _Record(info, fn)
-
-
-_RECORDS = dict(
-    [
-        _rec("thm2.1-d0", "catalan|double-signed", 0, "THEOREM", None, 7,
-             "signed-Catalan determinants give signed Fibonacci numbers",
-             _pinned(_cf_eq36, 1)),
-        _rec("thm2.1-d1", "catalan|double-signed", 1, "THEOREM", None, 8,
-             "shifted signed-Catalan determinants give even-index Fibonacci numbers",
-             _pinned(_cf_eq37, 1)),
-        _rec("thm2.2-D0", "central-binomial|double-signed", 0, "THEOREM", None, 5,
-             "signed central-binomial determinants give scaled Lucas numbers",
-             _pinned(_cf_eq36, 2)),
-        _rec("thm2.2-D1", "central-binomial|double-signed", 1, "THEOREM", None, 6,
-             "shifted signed central-binomial determinants give odd-index Lucas numbers",
-             _pinned(_cf_eq37, 2)),
-        _rec("thm2.3-d0", "catalan|double-signed|aerate", 0, "THEOREM", None, 10,
-             "aerated signed-Catalan determinants give Fibonacci products",
-             _pinned(_cf_eq310, 1)),
-        _rec("thm2.3-d1", "catalan|double-signed|aerate", 1, "THEOREM", None, 8,
-             "shifted aerated signed-Catalan determinants give Fibonacci squares",
-             _pinned(_cf_eq312, 1)),
-        _rec("thm2.4-D0", "central-binomial|double-signed|aerate", 0, "THEOREM", None, 5,
-             "aerated signed central-binomial determinants give scaled Lucas products",
-             _pinned(_cf_eq310, 2)),
-        _rec("thm2.4-D1", "central-binomial|double-signed|aerate", 1, "THEOREM", None, 6,
-             "shifted aerated signed central-binomial determinants give scaled Lucas squares",
-             _pinned(_cf_eq312, 2)),
-        _rec("eq3.6", "u:r={r}|double-signed", 0, "THEOREM", (1, 2, 3), 10,
-             "signed-u determinants give scaled f-numbers",
-             _cf_eq36),
-        _rec("eq3.7", "u:r={r}|double-signed", 1, "THEOREM", (1, 2, 3), 10,
-             "shifted signed-u determinants give odd-index f-numbers",
-             _cf_eq37),
-        _rec("eq3.10", "u:r={r}|double-signed|aerate", 0, "THEOREM", (1, 2), 9,
-             "aerated signed-u determinants give f-number products",
-             _cf_eq310),
-        _rec("eq3.12", "u:r={r}|double-signed|aerate", 1, "THEOREM", (1, 2), 9,
-             "shifted aerated signed-u determinants give f-number squares",
-             _cf_eq312),
-        _rec("thm4.1", "narayana|shift:1|consecutive-sum", 0, "THEOREM", None, 6,
-             "Narayana-sum determinants give signed Fibonacci polynomials",
-             _cf_thm41),
-        _rec("cor4.3", "catalan|double-signed|abs", 0, "THEOREM", None, 11,
-             "period-6 pattern from unsigned rows of the signed-Catalan scheme",
-             _cf_cor43),
-        _rec("eq4.10", "central-binomial|double-signed|abs", 0, "THEOREM", None, 7,
-             "scaled Lucas-polynomial values from unsigned central-binomial rows",
-             _cf_eq410),
-        _rec("thm5.1", "catconv:r=3", 0, "THEOREM", None, 12,
-             "threefold Catalan convolution determinants cycle with period 6",
-             _pinned(_cf_odd_conv, 1)),
-        _rec("thm5.2", "convpoly:m=3", 0, "THEOREM", None, 8,
-             "threefold convolution polynomial determinants, alternating closed form",
-             _cf_thm52),
-        _rec("eq1.22", "u:r={r}|aerate", 0, "THEOREM", (1, 2, 3), 8,
-             "aerated u-sequence determinants give powers of r",
-             _cf_eq122),
-        _rec("eq1.23", "u:r={r}|aerate", 1, "THEOREM", (1, 2, 3), 8,
-             "shifted aerated u-sequence determinants give signed even powers of r",
-             _cf_eq123),
-        _rec("u-d0", "u:r={r}", 0, "THEOREM", (1, 2, 3), 8,
-             "u-sequence determinants give powers of r",
-             _cf_eq122),
-        _rec("u-d1", "u:r={r}", 1, "THEOREM", (1, 2, 3), 8,
-             "shifted u-sequence determinants give powers of r",
-             _cf_u_d1),
-        _rec("thm7.3", "catconv:r=4", 0, "THEOREM", None, 8,
-             "fourfold Catalan convolution determinants grow linearly with period 2",
-             _pinned(_cf_even_conv, 2)),
-        _rec("thm7.4", "convpoly:m=4", 0, "THEOREM", None, 9,
-             "fourfold convolution polynomial determinants give q-integer multiples",
-             _pinned(_cf_even_conv_poly, 2)),
-        _rec("d-n-5", "catconv:r=5", 0, "OBSERVED", None, 9,
-             "fivefold Catalan convolution determinants, observed period-5 pattern",
-             _pinned(_cf_odd_conv, 2)),
-        _rec("d-n-6", "catconv:r=6", 0, "OBSERVED", None, 8,
-             "sixfold Catalan convolution determinants, observed period-3 pattern",
-             _cf_d6),
-        _rec("d-n-7", "catconv:r=7", 0, "OBSERVED", None, 6,
-             "sevenfold Catalan convolution determinants, observed period-7 pattern",
-             _cf_d7),
-        _rec("d-n-8", "catconv:r=8", 0, "OBSERVED", None, 10,
-             "eightfold Catalan convolution determinants, observed period-4 pattern",
-             _cf_d8),
-        _rec("conj7.2", None, 0, "CONJECTURE", None, 0,
-             "residue and sum patterns for odd-fold Catalan convolution determinants",
-             None),
-        _rec("conj7.5", None, 0, "CONJECTURE", None, 0,
-             "residue and sum patterns for even-fold Catalan convolution determinants",
-             None),
-        _rec("conj7.6", None, 0, "CONJECTURE", None, 8,
-             "sixfold convolution polynomial determinants, period-3 q-pattern",
-             None),
-        _rec("conj7.7", None, 0, "CONJECTURE", None, 2,
-             "even-fold convolution polynomial determinants, leading q-pattern",
-             None),
-    ]
-)
+# Each row is a FormulaInfo's fields and then the id's closed form.
+_RECORDS = {
+    row[0]: (FormulaInfo(*row[:-1]), row[-1])
+    for row in (
+        ("thm2.1-d0", "catalan|double-signed", 0, "THEOREM", None, 7,
+         "signed-Catalan determinants give signed Fibonacci numbers",
+         _pinned(_cf_eq36, 1)),
+        ("thm2.1-d1", "catalan|double-signed", 1, "THEOREM", None, 8,
+         "shifted signed-Catalan determinants give even-index Fibonacci numbers",
+         _pinned(_cf_eq37, 1)),
+        ("thm2.2-D0", "central-binomial|double-signed", 0, "THEOREM", None, 5,
+         "signed central-binomial determinants give scaled Lucas numbers",
+         _pinned(_cf_eq36, 2)),
+        ("thm2.2-D1", "central-binomial|double-signed", 1, "THEOREM", None, 6,
+         "shifted signed central-binomial determinants give odd-index Lucas numbers",
+         _pinned(_cf_eq37, 2)),
+        ("thm2.3-d0", "catalan|double-signed|aerate", 0, "THEOREM", None, 10,
+         "aerated signed-Catalan determinants give Fibonacci products",
+         _pinned(_cf_eq310, 1)),
+        ("thm2.3-d1", "catalan|double-signed|aerate", 1, "THEOREM", None, 8,
+         "shifted aerated signed-Catalan determinants give Fibonacci squares",
+         _pinned(_cf_eq312, 1)),
+        ("thm2.4-D0", "central-binomial|double-signed|aerate", 0, "THEOREM", None, 5,
+         "aerated signed central-binomial determinants give scaled Lucas products",
+         _pinned(_cf_eq310, 2)),
+        ("thm2.4-D1", "central-binomial|double-signed|aerate", 1, "THEOREM", None, 6,
+         "shifted aerated signed central-binomial determinants give scaled Lucas squares",
+         _pinned(_cf_eq312, 2)),
+        ("eq3.6", "u:r={r}|double-signed", 0, "THEOREM", (1, 2, 3), 10,
+         "signed-u determinants give scaled f-numbers",
+         _cf_eq36),
+        ("eq3.7", "u:r={r}|double-signed", 1, "THEOREM", (1, 2, 3), 10,
+         "shifted signed-u determinants give odd-index f-numbers",
+         _cf_eq37),
+        ("eq3.10", "u:r={r}|double-signed|aerate", 0, "THEOREM", (1, 2), 9,
+         "aerated signed-u determinants give f-number products",
+         _cf_eq310),
+        ("eq3.12", "u:r={r}|double-signed|aerate", 1, "THEOREM", (1, 2), 9,
+         "shifted aerated signed-u determinants give f-number squares",
+         _cf_eq312),
+        ("thm4.1", "narayana|shift:1|consecutive-sum", 0, "THEOREM", None, 6,
+         "Narayana-sum determinants give signed Fibonacci polynomials",
+         _cf_thm41),
+        ("cor4.3", "catalan|double-signed|abs", 0, "THEOREM", None, 11,
+         "period-6 pattern from unsigned rows of the signed-Catalan scheme",
+         _cf_cor43),
+        ("eq4.10", "central-binomial|double-signed|abs", 0, "THEOREM", None, 7,
+         "scaled Lucas-polynomial values from unsigned central-binomial rows",
+         _cf_eq410),
+        ("thm5.1", "catconv:r=3", 0, "THEOREM", None, 12,
+         "threefold Catalan convolution determinants cycle with period 6",
+         _pinned(_cf_odd_conv, 1)),
+        ("thm5.2", "convpoly:m=3", 0, "THEOREM", None, 8,
+         "threefold convolution polynomial determinants, alternating closed form",
+         _cf_thm52),
+        ("eq1.22", "u:r={r}|aerate", 0, "THEOREM", (1, 2, 3), 8,
+         "aerated u-sequence determinants give powers of r",
+         _cf_eq122),
+        ("eq1.23", "u:r={r}|aerate", 1, "THEOREM", (1, 2, 3), 8,
+         "shifted aerated u-sequence determinants give signed even powers of r",
+         _cf_eq123),
+        ("u-d0", "u:r={r}", 0, "THEOREM", (1, 2, 3), 8,
+         "u-sequence determinants give powers of r",
+         _cf_eq122),
+        ("u-d1", "u:r={r}", 1, "THEOREM", (1, 2, 3), 8,
+         "shifted u-sequence determinants give powers of r",
+         _cf_u_d1),
+        ("thm7.3", "catconv:r=4", 0, "THEOREM", None, 8,
+         "fourfold Catalan convolution determinants grow linearly with period 2",
+         _pinned(_cf_even_conv, 2)),
+        ("thm7.4", "convpoly:m=4", 0, "THEOREM", None, 9,
+         "fourfold convolution polynomial determinants give q-integer multiples",
+         _pinned(_cf_even_conv_poly, 2)),
+        ("d-n-5", "catconv:r=5", 0, "OBSERVED", None, 9,
+         "fivefold Catalan convolution determinants, observed period-5 pattern",
+         _pinned(_cf_odd_conv, 2)),
+        ("d-n-6", "catconv:r=6", 0, "OBSERVED", None, 8,
+         "sixfold Catalan convolution determinants, observed period-3 pattern",
+         _cf_d6),
+        ("d-n-7", "catconv:r=7", 0, "OBSERVED", None, 6,
+         "sevenfold Catalan convolution determinants, observed period-7 pattern",
+         _cf_d7),
+        ("d-n-8", "catconv:r=8", 0, "OBSERVED", None, 10,
+         "eightfold Catalan convolution determinants, observed period-4 pattern",
+         _cf_d8),
+        ("conj7.2", None, 0, "CONJECTURE", None, 0,
+         "residue and sum patterns for odd-fold Catalan convolution determinants",
+         None),
+        ("conj7.5", None, 0, "CONJECTURE", None, 0,
+         "residue and sum patterns for even-fold Catalan convolution determinants",
+         None),
+        ("conj7.6", None, 0, "CONJECTURE", None, 8,
+         "sixfold convolution polynomial determinants, period-3 q-pattern",
+         None),
+        ("conj7.7", None, 0, "CONJECTURE", None, 2,
+         "even-fold convolution polynomial determinants, leading q-pattern",
+         None),
+    )
+}
 
 
-def _record(id: str) -> _Record:
+def _record(id: str) -> tuple:
+    """(FormulaInfo, closed form) of a formula id."""
     record = _RECORDS.get(id)
     if record is None:
         raise ValueError(f"unknown formula id: {id}")
@@ -356,20 +331,20 @@ def formula_ids() -> tuple:
 
 
 def formula_info(id: str) -> FormulaInfo:
-    return _record(id).info
+    return _record(id)[0]
 
 
 def closed_form(id: str, n: int, r: int | None = None):
     """Predicted determinant value for one index of a non-conjecture id."""
-    record = _record(id)
-    if record.fn is None:
+    info, fn = _record(id)
+    if fn is None:
         raise ValueError(f"{id} is scanned as a pattern, not per index")
     if n < 0:
         raise ValueError("index must be >= 0")
-    if record.info.r_domain is not None and r is None:
+    if info.r_domain is not None and r is None:
         raise ValueError(f"{id} needs an r parameter")
-    _r_values(record.info, r)
-    return record.fn(n, r)
+    _r_values(info, r)
+    return fn(n, r)
 
 
 # -- reports -----------------------------------------------------------
@@ -482,8 +457,7 @@ def verify(id: str, n_max: int | None = None, r: int | None = None) -> Verificat
     an r parameter, a given r is checked alone and r=None walks the
     documented domain.  Conjecture ids are forwarded to `scan`.
     """
-    record = _record(id)
-    info = record.info
+    info, fn = _record(id)
     if id in _SCANS:
         _r_values(info, r)
         return scan(id, n_max=n_max)
@@ -499,13 +473,20 @@ def verify(id: str, n_max: int | None = None, r: int | None = None) -> Verificat
         spec = info.spec_template if rv is None else info.spec_template.format(r=rv)
         dets = det_sequence(spec, top, info.offset)
         for n in range(top + 1):
-            entries.append(_compared(n, record.fn(n, rv), dets[n], r=rv))
+            entries.append(_compared(n, fn(n, rv), dets[n], r=rv))
     counter = () if info.label == "THEOREM" else _gather_counterexamples(id, entries)
     return VerificationReport(id=id, label=info.label, params=params,
                               entries=tuple(entries), counterexamples=counter)
 
 
 # -- conjecture scans --------------------------------------------------
+
+
+def _compared_sum(dets, low: int, expected, k: int) -> ReportEntry:
+    """A sum pattern: the determinants at low and low + 3 added."""
+    high = low + 3
+    return _compared(low, expected, dets[low] + dets[high], k=k,
+                     note=f"sum of indices {low} and {high}")
 
 
 def _scan_odd_residues(k_max: int = 3) -> tuple:
@@ -517,13 +498,8 @@ def _scan_odd_residues(k_max: int = 3) -> tuple:
             for n in (base, base + 1, base + k, base + k + 1, base + k + 2):
                 entries.append(_compared(n, _cf_odd_conv(n, k), dets[n], k=k))
         for m in (1, 2):
-            low = period * m - 1
-            high = period * m + 2
             expected = Fraction(_sign(k * m + 1) * (k - 1) * period)
-            entries.append(
-                _compared(low, expected, dets[low] + dets[high], k=k,
-                          note=f"sum of indices {low} and {high}")
-            )
+            entries.append(_compared_sum(dets, period * m - 1, expected, k))
     return entries, {"k_max": k_max, "periods": 2}
 
 
@@ -542,13 +518,8 @@ def _scan_even_residues(k_max: int = 4) -> tuple:
                                        reason="sum pattern needs k >= 2"))
             continue
         for n in (1, 2):
-            low = 2 * k * n - 1
-            high = 2 * k * n + 2
             expected = Fraction(-k * (2 * k - 3) * (2 * n + 1) ** (k - 1))
-            entries.append(
-                _compared(low, expected, dets[low] + dets[high], k=k,
-                          note=f"sum of indices {low} and {high}")
-            )
+            entries.append(_compared_sum(dets, 2 * k * n - 1, expected, k))
     return entries, {"k_max": k_max, "periods": 3}
 
 
@@ -604,7 +575,7 @@ def scan(id: str, k_max: int | None = None, n_max: int | None = None) -> Verific
     observed single-sequence patterns can be scanned the same way.  A
     parameter the id does not read raises ValueError.
     """
-    record = _record(id)
+    info = _record(id)[0]
     walk, reads = _SCANS.get(id, (None, ("n_max",)))
     for name, value in (("k_max", k_max), ("n_max", n_max)):
         if value is not None and name not in reads:
@@ -613,7 +584,7 @@ def scan(id: str, k_max: int | None = None, n_max: int | None = None) -> Verific
         return verify(id, n_max=n_max)
     if k_max is not None and k_max < 1:
         raise ValueError("k_max must be >= 1")
-    top = record.info.default_n_max if n_max is None else n_max
+    top = info.default_n_max if n_max is None else n_max
     if top < 0:
         raise ValueError("n_max must be >= 0")
     given = {"k_max": k_max, "n_max": top}
@@ -656,126 +627,3 @@ def binomial_sum_series(k: int, order: int) -> tuple:
     lhs = PowerSeries([binomial_sum_identity(k, n)[0] for n in range(order + 1)])
     rhs = (catalan_series(order) ** (4 * k + 2)).shift_up(k + 1).truncate(order)
     return lhs, rhs
-
-
-def h_value(n: int, r: int) -> Fraction:
-    """Signed constant term of the signed-u orthogonal polynomials."""
-    if n < 0:
-        raise ValueError("index must be >= 0")
-    if r < 1:
-        raise ValueError("r must be >= 1")
-    if n % 2:
-        return Fraction(-r)
-    if n == 0:
-        return Fraction(1)
-    return r * f_number(n + 1, r) / f_number(n, r)
-
-
-def aerated_u_p0(n: int, r: int) -> Fraction:
-    """Value at 0 of the aerated signed-u orthogonal polynomials: 0 at odd
-    n and (-1)^h h_value(h, r) at n = 2h."""
-    if n < 0:
-        raise ValueError("index must be >= 0")
-    half = n // 2
-    value = _sign(half) * h_value(half, r)
-    return Fraction(0) if n % 2 else value
-
-
-# -- reference recurrence coefficients ---------------------------------
-
-
-def u_family_recurrence(r: int, depth: int) -> JacobiData:
-    """s = r, 2, 2, ...; t = r, 1, 1, ..."""
-    s = ((Fraction(r),) + (Fraction(2),) * depth)[:depth]
-    t = ((Fraction(r),) + (Fraction(1),) * depth)[:max(depth - 1, 0)]
-    return JacobiData(s, t)
-
-
-def shifted_catalan_recurrence(depth: int) -> JacobiData:
-    s = (Fraction(2),) * depth
-    return JacobiData(s, (Fraction(1),) * (depth - 1))
-
-
-def shifted_narayana_recurrence(depth: int) -> JacobiData:
-    one_plus_t = Polynomial((1, 1), "t")
-    t = Polynomial.variable_poly("t")
-    return JacobiData((one_plus_t,) * depth, (t,) * (depth - 1))
-
-
-def type_b_recurrence(depth: int) -> JacobiData:
-    one_plus_t = Polynomial((1, 1), "t")
-    t = Polynomial.variable_poly("t")
-    two_t = Polynomial((0, 2), "t")
-    tail = ((two_t,) + (t,) * (depth - 2)) if depth > 1 else ()
-    return JacobiData((one_plus_t,) * depth, tail)
-
-
-def double_signed_u_recurrence(r: int, depth: int) -> JacobiData:
-    """Recurrence data of the double-signed u-sequence moments."""
-    s = [Fraction(-r)][:depth]
-    for k in range(1, depth):
-        num = Fraction(r * r + r - 1, 1)
-        val = num / (f_number(k, r) * f_number(k + 1, r))
-        s.append(val if (k - 1) % 2 == 0 else -val)
-    t = [
-        -f_number(k, r) * f_number(k + 2, r) / f_number(k + 1, r) ** 2
-        for k in range(depth - 1)
-    ]
-    return JacobiData(tuple(s), tuple(t))
-
-
-def double_signed_u_aerated_t(r: int, count: int) -> list:
-    """Period-4 weight pattern of the aerated double-signed u-moments."""
-    out = []
-    for i in range(count):
-        k, j = divmod(i, 4)
-        if j == 0:
-            out.append(-f_number(2 * k, r) / f_number(2 * k + 1, r))
-        elif j == 1:
-            out.append(f_number(2 * k + 2, r) / f_number(2 * k + 1, r))
-        elif j == 2:
-            out.append(-f_number(2 * k + 3, r) / f_number(2 * k + 2, r))
-        else:
-            out.append(f_number(2 * k + 1, r) / f_number(2 * k + 2, r))
-    return out
-
-
-def aerated_u_weights(r: int, count: int) -> list:
-    return [Fraction(r)] + [Fraction(1)] * (count - 1) if count else []
-
-
-def aerated_narayana_recurrence(depth: int) -> JacobiData:
-    t = Polynomial.variable_poly("t")
-    weights = [Fraction(1) if k % 2 == 0 else t for k in range(depth - 1)]
-    return JacobiData((Fraction(0),) * depth, tuple(weights))
-
-
-def conv4_recurrence(depth: int) -> JacobiData:
-    """Recurrence data behind the fourfold convolution determinants."""
-    s = tuple(Fraction(4) if k % 2 == 0 else Fraction(0) for k in range(depth))
-    t = []
-    for i in range(depth - 1):
-        k, j = divmod(i, 2)
-        if j == 0:
-            t.append(Fraction(-(k + 2), k + 1))
-        else:
-            t.append(Fraction(-(k + 1), k + 2))
-    return JacobiData(s, tuple(t))
-
-
-def conv4_poly_recurrence(depth: int) -> JacobiData:
-    """Recurrence data behind the fourfold convolution polynomial
-    determinants; entries are rational functions in t."""
-    two_two = Polynomial((2, 2), "t")
-    t2 = Polynomial.monomial("t", 2)
-    s = tuple(two_two if k % 2 == 0 else Polynomial.zero() for k in range(depth))
-    t = []
-    for i in range(depth - 1):
-        k, j = divmod(i, 2)
-        lower = q_integer(k + 1, t2)
-        upper = q_integer(k + 2, t2)
-        if j == 0:
-            t.append(RationalFunction(-upper, lower))
-        else:
-            t.append(RationalFunction(-(t2 * lower), upper))
-    return JacobiData(s, tuple(t))

@@ -26,13 +26,7 @@ from hankelab.registry import (
     binomial_sum_identity,
     binomial_sum_series,
     closed_form,
-    conv4_poly_recurrence,
-    conv4_recurrence,
-    double_signed_u_recurrence,
     scan,
-    shifted_narayana_recurrence,
-    type_b_recurrence,
-    u_family_recurrence,
     verify,
 )
 from hankelab.sequences import (
@@ -45,6 +39,14 @@ from hankelab.sequences import (
     q_integer,
     terms,
     u_number,
+)
+from oracles import (
+    conv4_poly_recurrence,
+    conv4_recurrence,
+    double_signed_u_recurrence,
+    shifted_narayana_recurrence,
+    type_b_recurrence,
+    u_family_recurrence,
 )
 
 T = Polynomial.variable_poly("t")

@@ -10,7 +10,9 @@ look-ahead and the fit's zero-minor exit.
 The recurrence fit is held to the same determinants: where every minor up
 to the depth is nonzero it rebuilds the moments, and its product formula
 and shifted determinant give the elimination's values; otherwise it names
-the first vanishing order.
+the first vanishing order.  Where the fit exists, the moment pencil
+det(a(i+j) x0 - a(i+j+1)) equals the Hankel determinant times the fitted
+polynomial's value at x0.
 
 Every drawn spec also survives a round trip through its text, and with up
 to three transforms its terms are the prefix of a longer run of them.
@@ -30,6 +32,7 @@ from hankelab.orthopoly import (
     det_product_formula,
     fit_spec,
     moments_from_recurrence,
+    pencil_identity_check,
     shifted_det,
 )
 from hankelab.sequences import POLYNOMIAL, parse_spec, terms
@@ -103,6 +106,23 @@ def test_every_fit_matches_the_determinants(case):
     for k in range(n + 1):
         assert det_product_formula(jd, k) == dets[k], (spec, k)
         assert shifted_det(jd, k, dets[k]) == shifted[k], (spec, k)
+
+
+@given(cases())
+@example(("catalan|double-signed", 6, 0))
+@example(("narayana|aerate", 4, 0))
+def test_the_pencil_identity_holds_where_the_fit_exists(case):
+    spec, n, _ = case
+    assume(terms(spec, 1)[0] == 1)
+    n = min(n, 5)
+    # The fit reads a(0) even at n = 0, as in `fit_spec`.
+    moments = terms(spec, max(2 * n, 1))
+    for x0 in (Fraction(0), Fraction(1), Fraction(-1, 2)):
+        try:
+            check = pencil_identity_check(moments, n, x0)
+        except ZeroHankelMinorError:
+            return
+        assert check.matches, (spec, n, x0)
 
 
 @given(cases())

@@ -19,8 +19,8 @@ from hankelab.lattice import (
     weighted_triangle_entry,
 )
 from hankelab.orthopoly import triangle
-from hankelab.registry import aerated_narayana_recurrence
 from hankelab.sequences import conv_poly
+from oracles import aerated_narayana_recurrence
 
 
 def test_triangle_row_four():

@@ -10,7 +10,7 @@ from fractions import Fraction
 
 import pytest
 
-from hankelab import registry, sequences
+from hankelab import sequences
 from hankelab.exactnum import _Frozen, _Value
 from hankelab.hankel import det_sequence, hankel_matrix
 from hankelab.orthopoly import JacobiData, fit_spec, pencil_identity_check, triangle
@@ -28,7 +28,6 @@ def _one_of_each() -> list:
         triangle(jd, 3),
         pencil_identity_check(terms("catalan", 4), 2, Fraction(1)),
         formula_info("thm2.1-d0"),
-        registry._RECORDS["thm2.1-d0"],
         report.entries[0],
         Counterexample("made-up", 3, None, Fraction(1), Fraction(2)),
         report,
@@ -42,7 +41,7 @@ def test_every_record_class_refuses_assignment():
     records = _one_of_each()
     classes = set(_Frozen.__subclasses__()) - {_Value}
     assert {type(r) for r in records} == classes | set(_Value.__subclasses__())
-    assert len(records) == 13
+    assert len(records) == 12
     for record in records:
         field = type(record).__slots__[0]
         value = getattr(record, field)

@@ -23,25 +23,27 @@ from hankelab.registry import (
     _cf_odd_conv,
     _compared,
     _gather_counterexamples,
-    aerated_narayana_recurrence,
-    aerated_u_p0,
-    aerated_u_weights,
     binomial_sum_identity,
     binomial_sum_series,
     closed_form,
+    formula_ids,
+    formula_info,
+    scan,
+    verify,
+)
+from oracles import (
+    aerated_narayana_recurrence,
+    aerated_u_p0,
+    aerated_u_weights,
     conv4_poly_recurrence,
     conv4_recurrence,
     double_signed_u_aerated_t,
     double_signed_u_recurrence,
-    formula_ids,
-    formula_info,
     h_value,
-    scan,
     shifted_catalan_recurrence,
     shifted_narayana_recurrence,
     type_b_recurrence,
     u_family_recurrence,
-    verify,
 )
 
 ALL_IDS = formula_ids()

@@ -1,9 +1,10 @@
 """Rules on the package source itself: invariants are real exceptions,
 so they still hold under `python -O`, which strips `assert` statements;
 the package needs nothing beyond the standard library; importing the
-CLI stays off `dataclasses` and `inspect`, which every command would pay
-for at start-up; the public names stay what they are; and the names the
-benchmark tracer wraps stay where it looks for them."""
+CLI stays off `dataclasses`, `inspect` and `json`, which every command
+would pay for at start-up; the registry does not import the fit; the
+public names stay what they are; and the names the benchmark tracer
+wraps stay where it looks for them."""
 
 from __future__ import annotations
 
@@ -20,17 +21,21 @@ SOURCES = sorted(Path(hankelab.__file__).parent.glob("*.py"))
 
 
 def _imports():
-    """(where, top-level module name) for each absolute import in the package."""
+    """(where, module) for each import in the package.  A relative module
+    keeps its leading dots: `from .hankel import x` and `from . import
+    hankel` both give `.hankel`."""
     for path in SOURCES:
         for node in ast.walk(ast.parse(path.read_text(), str(path))):
             if isinstance(node, ast.Import):
                 names = [alias.name for alias in node.names]
-            elif isinstance(node, ast.ImportFrom) and not node.level:
-                names = [node.module]
+            elif isinstance(node, ast.ImportFrom):
+                dots = "." * node.level
+                names = ([dots + node.module] if node.module
+                         else [dots + alias.name for alias in node.names])
             else:
                 continue
             for name in names:
-                yield f"{path.name}:{node.lineno}:{name}", name.partition(".")[0]
+                yield f"{path.name}:{node.lineno}:{name}", name
 
 
 def test_no_assert_statements_in_the_package():
@@ -45,19 +50,32 @@ def test_no_assert_statements_in_the_package():
 
 
 def test_the_package_imports_only_the_standard_library():
-    found = [where for where, top in _imports() if top not in sys.stdlib_module_names]
+    found = [
+        where for where, name in _imports()
+        if not name.startswith(".") and name.partition(".")[0] not in sys.stdlib_module_names
+    ]
     assert found == []
 
 
 def test_the_package_does_not_import_dataclasses():
-    assert [where for where, top in _imports() if top == "dataclasses"] == []
+    assert [where for where, name in _imports() if name.partition(".")[0] == "dataclasses"] == []
+
+
+def test_the_registry_does_not_import_the_fit():
+    # The paper's J-fraction references, the registry's one use of
+    # `orthopoly`, are test oracles in `tests/oracles.py`.
+    found = [
+        where for where, name in _imports()
+        if where.startswith("registry.py:") and name in (".orthopoly", "hankelab.orthopoly")
+    ]
+    assert found == []
 
 
 def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():
     # -I -S keeps the host's site-packages and .pth files out of the count.
     code = (
         "import sys; sys.path.insert(0, sys.argv[1]); import hankelab.cli; "
-        "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+        "print(sorted({'dataclasses', 'inspect', 'json'} & set(sys.modules)))"
     )
     src = str(Path(hankelab.__file__).parent.parent)
     proc = subprocess.run([sys.executable, "-I", "-S", "-c", code, src],
