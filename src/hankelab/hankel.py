@@ -118,14 +118,15 @@ def hankel_matrix(spec, n: int, offset: int = 0) -> HankelMatrix:
 def det_exact(matrix, one=None):
     """Exact determinant of one matrix; the empty matrix gives 1.
 
-    Accepts a HankelMatrix or a plain list of rows.  `one` names the ring
-    unit used for the empty case; it is inferred from a HankelMatrix.
+    Accepts a HankelMatrix or a plain list of rows.  `one` only names the
+    value of the empty matrix; it is inferred from a HankelMatrix.  A
+    singular matrix gives the zero of its entries' ring.
     The value is the last leading minor of the same elimination that
     `det_sequence` runs: its look-ahead adds a row i < n to a row above,
     which keeps every minor of order above i, so D_n is the determinant.
     """
     rows, one = _matrix(matrix, one)
-    return _minors(rows, one)[-1] if rows else one
+    return _minors(rows)[-1] if rows else one
 
 
 def det_cofactor(rows, one=None):
@@ -136,17 +137,17 @@ def det_cofactor(rows, one=None):
         return one
     if n == 1:
         return rows[0][0]
-    total = one * 0
+    total = rows[0][0] * 0
     for j in range(n):
         minor = [
             [rows[i][c] for c in range(n) if c != j] for i in range(1, n)
         ]
-        term = rows[0][j] * det_cofactor(minor, one)
+        term = rows[0][j] * det_cofactor(minor)
         total = total + term if j % 2 == 0 else total - term
     return total
 
 
-def _leading_minors(rows, one) -> list:
+def _leading_minors(rows) -> list:
     """Leading principal minors D_1..D_n of a square matrix in one pass.
 
     Fraction-free elimination without row exchanges: by Sylvester's
@@ -156,10 +157,10 @@ def _leading_minors(rows, one) -> list:
     keeps every minor of order above i and gives a nonzero pivot, so the
     pass goes on; orders up to the largest such i are reported as 0.  A
     column that is zero from row k down makes every remaining minor 0.
+    Each zero is taken from the matrix, so it has the ring of the entries.
     """
     work = [list(row) for row in rows]
     n = len(work)
-    zero = one * 0
     out = []
     prev = 1
     zero_until = 0
@@ -168,11 +169,11 @@ def _leading_minors(rows, one) -> list:
         if not pivot_row[k]:
             below = next((i for i in range(k + 1, n) if work[i][k]), None)
             if below is None:
-                return out + [zero] * (n - k)
+                return out + [pivot_row[k]] * (n - k)
             zero_until = max(zero_until, below)
             pivot_row[k:] = [a + b for a, b in zip(pivot_row[k:], work[below][k:])]
         pivot = pivot_row[k]
-        out.append(pivot if k >= zero_until else zero)
+        out.append(pivot if k >= zero_until else pivot * 0)
         tail = pivot_row[k + 1:]
         for row in work[k + 1:]:
             left = row[k]
@@ -186,7 +187,7 @@ def _leading_minors(rows, one) -> list:
     return out
 
 
-def _minors(rows, one) -> list:
+def _minors(rows) -> list:
     """Leading principal minors D_1..D_n of a square matrix.
 
     When every entry is an int or Fraction, they are scaled by the lcm L of
@@ -194,9 +195,9 @@ def _minors(rows, one) -> list:
     as Fraction(minor, L**n).  Other entries go through as they are.
     """
     if not all(isinstance(a, (int, Fraction)) for row in rows for a in row):
-        return _leading_minors(rows, one)
+        return _leading_minors(rows)
     ints, scale = _cleared(*rows)
-    return [Fraction(d, scale**n) for n, d in enumerate(_leading_minors(ints, 1), 1)]
+    return [Fraction(d, scale**n) for n, d in enumerate(_leading_minors(ints), 1)]
 
 
 def det_sequence(spec, n_max: int, offset: int = 0) -> DetSequence:
@@ -208,9 +209,8 @@ def det_sequence(spec, n_max: int, offset: int = 0) -> DetSequence:
     spec = parse_spec(spec)
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
-    one = _ring_one(spec)
-    minors = _minors(_hankel_rows(spec, n_max, offset), one)
-    return DetSequence(spec, offset, (one, *minors))
+    minors = _minors(_hankel_rows(spec, n_max, offset))
+    return DetSequence(spec, offset, (_ring_one(spec), *minors))
 
 
 def _hankel_rows(spec: SequenceSpec, n: int, offset: int) -> list:

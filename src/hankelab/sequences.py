@@ -13,7 +13,7 @@ import math
 from fractions import Fraction
 from functools import partial
 
-from .exactnum import Polynomial, PowerSeries, _Frozen, _set, _Value, binomial
+from .exactnum import Polynomial, PowerSeries, _set, _Value, binomial
 
 __all__ = [
     "SpecError",
@@ -21,8 +21,6 @@ __all__ = [
     "SequenceSpec",
     "parse_spec",
     "terms",
-    "RATIONAL",
-    "POLYNOMIAL",
     "catalan_number",
     "catalan_convolution",
     "u_number",
@@ -233,7 +231,7 @@ class SequenceSpec(_Value):
 
     @property
     def kind(self) -> str:
-        kind = _FAMILIES[self.family].kind
+        kind = POLYNOMIAL if _FAMILIES[self.family][1] else RATIONAL
         for tr in self.transforms:
             kind = _row(tr.name)[2] or kind
         return kind
@@ -242,25 +240,12 @@ class SequenceSpec(_Value):
     def text(self) -> str:
         head = self.family
         if self.param is not None:
-            key = getattr(_FAMILIES.get(self.family), "param_key", None)
+            key = _FAMILIES.get(self.family, (None,))[0]
             head = f"{head}:{key}={self.param}"
         return "|".join([head] + [tr.text for tr in self.transforms])
 
     def __str__(self) -> str:
         return self.text
-
-
-class _Family(_Frozen):
-    """How a family makes its terms: `produce(param, count)` gives a list."""
-
-    __slots__ = ("kind", "param_key", "produce", "var")
-
-    def __init__(self, kind: str, param_key: str | None, produce,
-                 var: str | None = None):
-        _set(self, "kind", kind)
-        _set(self, "param_key", param_key)
-        _set(self, "produce", produce)
-        _set(self, "var", var)  # variable of a polynomial family
 
 
 def _plain(fn):
@@ -271,19 +256,23 @@ def _with_param(fn):
     return lambda param, count: [fn(n, param) for n in range(count)]
 
 
-_FAMILIES: dict[str, _Family] = {
-    "catalan": _Family(RATIONAL, None, _plain(catalan_number)),
-    "central-binomial": _Family(
-        RATIONAL, None, _plain(lambda n: Fraction(math.comb(2 * n, n)))
+# A row per family: (the key of its integer parameter, None if it takes
+# none; its variable, None for a rational family; producer).  A family is
+# polynomial exactly when it has a variable.  `producer(param, count)`
+# gives its first `count` terms as a list.
+_FAMILIES = {
+    "catalan": (None, None, _plain(catalan_number)),
+    "central-binomial": (
+        None, None, _plain(lambda n: Fraction(math.comb(2 * n, n)))
     ),
-    "catconv": _Family(RATIONAL, "r", _with_param(catalan_convolution)),
-    "u": _Family(RATIONAL, "r", _u_prefix),
-    "fibonacci": _Family(RATIONAL, None, lambda _, count: _f_prefix(0, count)),
-    "lucas": _Family(RATIONAL, None, lambda _, count: _f_prefix(2, count)),
-    "f-number": _Family(RATIONAL, "r", _f_prefix),
-    "narayana": _Family(POLYNOMIAL, None, _plain(narayana_poly), "t"),
-    "narayana-b": _Family(POLYNOMIAL, None, _plain(narayana_b_poly), "t"),
-    "convpoly": _Family(POLYNOMIAL, "m", _conv_prefix, "t"),
+    "catconv": ("r", None, _with_param(catalan_convolution)),
+    "u": ("r", None, _u_prefix),
+    "fibonacci": (None, None, lambda _, count: _f_prefix(0, count)),
+    "lucas": (None, None, lambda _, count: _f_prefix(2, count)),
+    "f-number": ("r", None, _f_prefix),
+    "narayana": (None, "t", _plain(narayana_poly)),
+    "narayana-b": (None, "t", _plain(narayana_b_poly)),
+    "convpoly": ("m", "t", _conv_prefix),
 }
 
 
@@ -304,31 +293,32 @@ def parse_spec(text: str | SequenceSpec) -> SequenceSpec:
     else:
         family, param_text = head, None
 
-    info = _FAMILIES.get(family)
-    if info is None:
+    row = _FAMILIES.get(family)
+    if row is None:
         raise SpecError(f"unknown family {family!r}", 0)
-    if info.param_key is None:
+    key, var, _ = row
+    if key is None:
         if param_text is not None:
             raise SpecError(f"family {family!r} takes no parameter", 0)
         param = None
     else:
         if param_text is None:
             raise SpecError(
-                f"family {family!r} needs a parameter {info.param_key}=<int>", 0
+                f"family {family!r} needs a parameter {key}=<int>", 0
             )
-        key, eq, value = param_text.partition("=")
-        if not eq or key.strip() != info.param_key:
+        given, eq, value = param_text.partition("=")
+        if not eq or given.strip() != key:
             raise SpecError(
-                f"family {family!r} expects {info.param_key}=<int>", 0
+                f"family {family!r} expects {key}=<int>", 0
             )
         try:
             param = int(value)
         except ValueError:
             raise SpecError(f"bad integer {value!r} in {head!r}", 0) from None
         if param < 1:
-            raise SpecError(f"parameter {info.param_key} must be >= 1", 0)
+            raise SpecError(f"parameter {key} must be >= 1", 0)
 
-    kind = info.kind
+    kind = POLYNOMIAL if var else RATIONAL
     transforms = []
     offset = len(first) + 1
     for piece in pieces:
@@ -338,7 +328,7 @@ def parse_spec(text: str | SequenceSpec) -> SequenceSpec:
             raise SpecError(f"transform {name!r} takes no argument", offset)
         if needs not in (None, kind):
             raise SpecError(f"{name} only applies to {needs} sequences", offset)
-        arg = read(arg_text if colon else None, info.var, offset) if read else None
+        arg = read(arg_text if colon else None, var, offset) if read else None
         transforms.append(Transform(name, arg))
         kind = leaves or kind
         offset += len(piece) + 1
@@ -351,7 +341,7 @@ def terms(spec: SequenceSpec | str, count: int) -> list:
     spec = parse_spec(spec)
     if count < 0:
         raise ValueError("count must be >= 0")
-    stage = partial(_FAMILIES[spec.family].produce, spec.param)
+    stage = partial(_FAMILIES[spec.family][2], spec.param)
     for tr in spec.transforms:
         stage = partial(_row(tr.name)[3], stage, tr.arg)
     return stage(count) if count else []

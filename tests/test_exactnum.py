@@ -300,6 +300,16 @@ def test_power_series_invert_round_trip():
         assert s * s.invert() == PowerSeries.one(10)
 
 
+def test_power_series_invert_takes_a_constant_polynomial_term():
+    t = Polynomial.variable_poly("t")
+    s = PowerSeries([Polynomial.constant(2), t, t * t])
+    inverse = s.invert()
+    assert inverse.coeffs == (Fraction(1, 2), t * Fraction(-1, 4), t * t * Fraction(-1, 8))
+    assert s * inverse == PowerSeries.one(2)
+    with pytest.raises(TypeError, match="scalar constant term"):
+        PowerSeries([t + 1, t]).invert()
+
+
 def test_power_series_shift_round_trip():
     s = PowerSeries([1, 2, 3])
     assert s.shift_up(2).shift_down(2) == s

@@ -68,11 +68,13 @@ def test_leading_minors_match_per_order_oracles(hankel, pool, one, trials, max_o
     minors_seen = zeros_seen = 0
     for _ in range(trials):
         rows = _sparse_rows(rng, rng.randint(1, max_order), pool, hankel)
-        minors = _leading_minors(rows, one)
+        minors = _leading_minors(rows)
         assert len(minors) == len(rows)
         for n, value in enumerate(minors, 1):
             block = [row[:n] for row in rows[:n]]
-            assert value == bareiss_det(block, one), (rows, n)
+            expected = bareiss_det(block, one)
+            assert value == expected, (rows, n)
+            assert type(value) is type(expected), (rows, n)
             if n <= 5:
                 assert value == det_cofactor(block, one), (rows, n)
         minors_seen += len(minors)
@@ -120,7 +122,7 @@ def test_two_by_two_integer_example():
 
 def test_integer_rows_give_fractions_at_every_order():
     rows = [[1, 2, 0], [3, 4, 1], [0, 2, 5]]
-    minors = _minors(rows, Fraction(1))
+    minors = _minors(rows)
     assert [type(d) for d in minors] == [Fraction] * 3
     assert minors == [1, -2, det_cofactor(rows)] == [1, -2, -12]
     for matrix, value in (([[5]], 5), ([[1, 2], [3, 4]], -2)):
@@ -150,6 +152,12 @@ def test_singular_matrices_give_zero():
     t = Polynomial.variable_poly("t")
     prows = [[t, t], [t, t]]
     assert det_exact(prows, one=Polynomial.one()) == Polynomial.zero()
+    # Without `one`, the zero's ring comes from the entries.
+    zero = Polynomial.zero()
+    for rows in (prows, [[zero, t], [zero, t]], [[t, t, 1 + t], [t, t, t], [t, t, 1 + t]]):
+        for det in (det_exact, det_cofactor):
+            value = det(rows)
+            assert type(value) is Polynomial and value == zero, (det, rows)
 
 
 def test_bareiss_matches_cofactor_integer_trials():

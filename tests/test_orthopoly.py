@@ -296,6 +296,22 @@ def test_pencil_identity_needs_enough_moments():
         pencil_identity_check(terms("catalan", 3), 2, Fraction(1))
 
 
+def test_pencil_identity_at_order_zero(monkeypatch):
+    # The fit reads a(0) even at n = 0, so the check asks for one moment
+    # and takes the ring unit from it.
+    check = pencil_identity_check([Polynomial.one()], 0, Fraction(0))
+    empty = det_exact(hankel_matrix("narayana", 0))
+    assert check.matches
+    assert [(type(v), v) for v in (check.lhs, check.rhs)] == [(Polynomial, empty)] * 2
+
+    def no_fit(*args):
+        raise AssertionError("the guard should refuse before the fit runs")
+
+    monkeypatch.setattr(orthopoly, "fit_recurrence", no_fit)
+    with pytest.raises(ValueError, match="need 1 moments, got 0"):
+        pencil_identity_check([], 0, Fraction(0))
+
+
 def test_jacobi_data_serialization():
     data = fit_spec("catalan|shift:1", 3)
     assert data.csv_text().splitlines()[0] == "k,s,t"

@@ -10,7 +10,6 @@ from fractions import Fraction
 
 import pytest
 
-from hankelab import sequences
 from hankelab.exactnum import _Frozen, _Value
 from hankelab.hankel import det_sequence, hankel_matrix
 from hankelab.orthopoly import JacobiData, fit_spec, pencil_identity_check, triangle
@@ -33,7 +32,6 @@ def _one_of_each() -> list:
         report,
         parse_spec("catalan|shift:1").transforms[0],
         parse_spec("catalan|shift:1"),
-        sequences._FAMILIES["catalan"],
     ]
 
 
@@ -41,7 +39,7 @@ def test_every_record_class_refuses_assignment():
     records = _one_of_each()
     classes = set(_Frozen.__subclasses__()) - {_Value}
     assert {type(r) for r in records} == classes | set(_Value.__subclasses__())
-    assert len(records) == 12
+    assert len(records) == 11
     for record in records:
         field = type(record).__slots__[0]
         value = getattr(record, field)

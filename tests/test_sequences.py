@@ -237,10 +237,9 @@ def test_terms_checks_a_built_spec_as_its_text_parses():
 ])
 def test_each_stage_asks_for_the_terms_it_needs(monkeypatch, spec, count, asked):
     calls = []
-    family = sequences._FAMILIES["catalan"]
-    monkeypatch.setitem(sequences._FAMILIES, "catalan", sequences._Family(
-        family.kind, family.param_key,
-        lambda p, n: calls.append(n) or family.produce(p, n), family.var))
+    key, var, produce = sequences._FAMILIES["catalan"]
+    monkeypatch.setitem(sequences._FAMILIES, "catalan", (
+        key, var, lambda p, n: calls.append(n) or produce(p, n)))
     assert len(terms(spec, count)) == count
     assert calls == asked
 

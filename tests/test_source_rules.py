@@ -126,6 +126,7 @@ def test_the_public_names_are_pinned_in_order():
     assert hankelab.__all__ == pinned
     for layer, names in PUBLIC_NAMES.items():
         module = importlib.import_module(f"hankelab.{layer}")
+        assert sorted(module.__all__) == list(names)
         for name in names:
             assert name in module.__all__
             assert getattr(hankelab, name) is getattr(module, name)
