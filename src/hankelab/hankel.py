@@ -15,7 +15,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .exactnum import (
-    Polynomial, RationalFunction, _cleared, _Frozen, _set, exact_divide,
+    Polynomial, RationalFunction, _cleared, _Frozen, _is_scalar, _set, exact_divide,
 )
 from .sequences import POLYNOMIAL, SequenceSpec, parse_spec, terms
 
@@ -157,7 +157,8 @@ def _leading_minors(rows) -> list:
     keeps every minor of order above i and gives a nonzero pivot, so the
     pass goes on; orders up to the largest such i are reported as 0.  A
     column that is zero from row k down makes every remaining minor 0.
-    Each zero is taken from the matrix, so it has the ring of the entries.
+    Each zero is taken from the matrix, so it has the type of the entries
+    it came from (see `_minors` for rows that mix numbers and polynomials).
     """
     work = [list(row) for row in rows]
     n = len(work)
@@ -192,10 +193,16 @@ def _minors(rows) -> list:
 
     When every entry is an int or Fraction, they are scaled by the lcm L of
     their denominators, the kernel runs on Python ints and D_n is returned
-    as Fraction(minor, L**n).  Other entries go through as they are.
+    as Fraction(minor, L**n).  Other entries go through as they are; when
+    some entry is a `Polynomial`, a zero minor that the kernel took from a
+    column of numbers is given as `Polynomial.zero()`.
     """
-    if not all(isinstance(a, (int, Fraction)) for row in rows for a in row):
-        return _leading_minors(rows)
+    entries = [a for row in rows for a in row]
+    if not all(isinstance(a, (int, Fraction)) for a in entries):
+        minors = _leading_minors(rows)
+        if any(isinstance(a, Polynomial) for a in entries):
+            return [Polynomial.zero() if _is_scalar(d) and not d else d for d in minors]
+        return minors
     ints, scale = _cleared(*rows)
     return [Fraction(d, scale**n) for n, d in enumerate(_leading_minors(ints), 1)]
 

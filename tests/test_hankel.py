@@ -158,6 +158,13 @@ def test_singular_matrices_give_zero():
         for det in (det_exact, det_cofactor):
             value = det(rows)
             assert type(value) is Polynomial and value == zero, (det, rows)
+    # Rows that mix numbers and polynomials: the zero is still a
+    # Polynomial, also when the kernel meets a column of numbers.
+    for rows in ([[0, t], [0, t]], [[0, 0], [0, t]],
+                 [[1, Fraction(0), t], [1, 0, 0], [0, 0, t]]):
+        for det in (det_exact, det_cofactor):
+            value = det(rows)
+            assert type(value) is Polynomial and value == zero, (det, rows)
 
 
 def test_bareiss_matches_cofactor_integer_trials():

@@ -2,9 +2,10 @@
 so they still hold under `python -O`, which strips `assert` statements;
 the package needs nothing beyond the standard library; importing the
 CLI stays off `dataclasses`, `inspect` and `json`, which every command
-would pay for at start-up; the registry does not import the fit; the
-public names stay what they are; and the names the benchmark tracer
-wraps stay where it looks for them."""
+would pay for at start-up; each command runs only the layers it uses,
+and a layer's first load is safe across threads; the registry does not
+import the fit; the public names stay what they are; and the names the
+benchmark tracer wraps stay where it looks for them."""
 
 from __future__ import annotations
 
@@ -14,10 +15,13 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import hankelab
 import hankelab.cli
 
-SOURCES = sorted(Path(hankelab.__file__).parent.glob("*.py"))
+PACKAGE = Path(hankelab.__file__).parent
+SOURCES = sorted(PACKAGE.glob("*.py"))
 
 
 def _imports():
@@ -71,17 +75,94 @@ def test_the_registry_does_not_import_the_fit():
     assert found == []
 
 
+def _run_isolated(code: str, *args: str) -> str:
+    """Stdout of `python -c code SRC ARGS...`.  -I -S keeps the host's
+    site-packages and .pth files out; -B keeps bytecode out of `src/`,
+    since -I ignores PYTHONDONTWRITEBYTECODE."""
+    proc = subprocess.run(
+        [sys.executable, "-I", "-S", "-B", "-c", code, str(PACKAGE.parent), *args],
+        capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+def _bytecode() -> dict:
+    """The package's cached bytecode files, with their modification times."""
+    return {path.name: path.stat().st_mtime_ns for path in PACKAGE.glob("__pycache__/*")}
+
+
 def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():
-    # -I -S keeps the host's site-packages and .pth files out of the count.
     code = (
         "import sys; sys.path.insert(0, sys.argv[1]); import hankelab.cli; "
         "print(sorted({'dataclasses', 'inspect', 'json'} & set(sys.modules)))"
     )
-    src = str(Path(hankelab.__file__).parent.parent)
-    proc = subprocess.run([sys.executable, "-I", "-S", "-c", code, src],
-                          capture_output=True, text=True, timeout=60)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "[]\n"
+    before = _bytecode()
+    assert _run_isolated(code) == "[]\n"
+    # A checkout holding bytecode starts each command faster, which would
+    # skew a benchmark run after the tests.
+    assert _bytecode() == before
+
+
+# Runs `import hankelab` (MODE package) or `import hankelab.cli` and then
+# ARGV as a command, and prints each layer as executed or deferred.  A
+# deferred layer is not a plain module, and `type()` reads no attribute of
+# it, so the probe loads nothing.
+LOAD_PROBE = """
+import contextlib, io, sys, types
+src, mode, *argv = sys.argv[1:]
+sys.path.insert(0, src)
+import hankelab
+if mode == "cli":
+    import hankelab.cli
+    if argv:
+        with contextlib.redirect_stdout(io.StringIO()):
+            if hankelab.cli.run(argv):
+                sys.exit("command failed")
+for name in ("exactnum", "hankel", "lattice", "orthopoly", "registry", "sequences"):
+    module = sys.modules["hankelab." + name]
+    print(name, "executed" if type(module) is types.ModuleType else "deferred")
+"""
+EAGER = {"exactnum", "hankel", "sequences"}
+
+
+@pytest.mark.parametrize(("mode", "argv", "executed"), [
+    ("package", (), set()),
+    ("cli", (), EAGER),
+    ("cli", ("hankel", "catalan", "--n-max", "3"), EAGER),
+    ("cli", ("seq", "catalan", "--terms", "3"), EAGER),
+    ("cli", ("fit", "catalan", "--depth", "2"), EAGER | {"orthopoly"}),
+    ("cli", ("verify", "thm5.2"), EAGER | {"registry", "lattice"}),
+], ids=["import hankelab", "import hankelab.cli", "hankel", "seq", "fit", "verify"])
+def test_each_command_runs_only_the_layers_it_uses(mode, argv, executed):
+    states = dict(line.split() for line in _run_isolated(LOAD_PROBE, mode, *argv).splitlines())
+    assert states == {name: "executed" if name in executed else "deferred"
+                      for name in PUBLIC_NAMES}
+
+
+def test_threads_reading_a_layer_first_all_wait_for_its_load():
+    # Eight threads read `registry`, whose first load also runs four other
+    # layers; each must get the one `formula_ids`, never a half-run module.
+    code = """
+import sys, threading
+sys.path.insert(0, sys.argv[1])
+sys.setswitchinterval(1e-6)
+import hankelab
+start = threading.Barrier(8)
+found, errors = [], []
+def read():
+    start.wait()
+    try:
+        found.append(hankelab.registry.formula_ids)
+    except Exception as exc:
+        errors.append(repr(exc))
+threads = [threading.Thread(target=read) for _ in range(8)]
+for thread in threads:
+    thread.start()
+for thread in threads:
+    thread.join(30)
+print(errors, sum(thread.is_alive() for thread in threads), len(found), len(set(map(id, found))))
+"""
+    assert _run_isolated(code) == "[] 0 8 1\n"
 
 
 # The package's public names, in order, under the layer that defines each.
@@ -130,6 +211,18 @@ def test_the_public_names_are_pinned_in_order():
         for name in names:
             assert name in module.__all__
             assert getattr(hankelab, name) is getattr(module, name)
+
+
+def test_the_package_lists_and_star_imports_every_public_name():
+    assert set(hankelab.__all__) <= set(dir(hankelab))
+    namespace = {}
+    exec("from hankelab import *", namespace)
+    del namespace["__builtins__"]
+    assert sorted(namespace) == sorted(hankelab.__all__)
+    for layer, names in PUBLIC_NAMES.items():
+        module = importlib.import_module(f"hankelab.{layer}")
+        for name in names:
+            assert namespace[name] is getattr(module, name)
 
 
 # `perfbench/tracer.py` imports `hankelab.cli`, then wraps each layer's
