@@ -131,6 +131,26 @@ COMMANDS = (
         ["hankel", "narayana|double-signed|consecutive-sum", "--n-max", "4"],
         ["fit", "narayana|aerate|aerate", "--depth", "3"],
     ]
+    # Usage errors, worded as the command line has always worded them.
+    + [
+        [],
+        ["nosuch"],
+        ["seq", "catalan"],
+        ["seq", "--terms", "3"],
+        ["seq", "catalan", "--terms", "x"],
+        ["seq", "catalan", "--terms"],
+        ["hankel", "catalan", "--n-max", "3", "--offset", "2"],
+        ["seq", "catalan", "--terms", "3", "--format", "yaml"],
+        ["seq", "catalan", "--terms", "3", "extra"],
+        ["hankel", "catalan", "--n-max", "3", "--bogus"],
+    ]
+    # Option spellings: a unique prefix, an attached value, a repeat.
+    + [
+        ["hankel", "catalan", "--n-m", "3"],
+        ["hankel", "catalan", "--n-max=3"],
+        ["verify", "thm5.1", "--n", "3"],
+        ["lgv", "--n", "3", "--n", "4"],
+    ]
 )
 
 
