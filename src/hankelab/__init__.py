@@ -3,10 +3,12 @@ sequences: sequence specs, fraction-free determinants, three-term
 recurrence fitting, lattice-path cross-checks, and a registry of
 closed-form evaluations.
 
-The six layers load on first use.  `import hankelab` puts each layer in
-`sys.modules` without running it; the first attribute read from a layer
+The six layers, and `ring` (polynomials and rational functions, whose
+names `exactnum` lists), load on first use.  `import hankelab` puts each
+in `sys.modules` without running it; the first attribute read from one
 runs its module body.  A public name read from the package comes from
-the layer whose `__all__` lists it.
+the layer whose `__all__` lists it, looked up in dependency order, so
+reading a name runs only the layers below the one that defines it.
 """
 
 import importlib.util
@@ -52,16 +54,19 @@ def _defer(name: str) -> types.ModuleType:
     return layer
 
 
-_LAYERS = tuple(map(_defer, ("exactnum", "hankel", "lattice", "orthopoly", "registry",
-                              "sequences")))
-exactnum, hankel, lattice, orthopoly, registry, sequences = _LAYERS
+# In dependency order: a layer imports only layers before it.
+_LAYERS = tuple(map(_defer, ("exactnum", "sequences", "hankel", "orthopoly", "lattice",
+                              "registry")))
+exactnum, sequences, hankel, orthopoly, lattice, registry = _LAYERS
+ring = _defer("ring")
 
 
 def __getattr__(name: str):
     if name == "__all__":
         # Each layer's `__all__` is its list of public names; the package
-        # re-exports each list, sorted, in layer order.
-        return [public for layer in _LAYERS for public in sorted(layer.__all__)]
+        # re-exports each list, sorted, with the layers sorted by name.
+        names = {layer.__spec__.name: sorted(layer.__all__) for layer in _LAYERS}
+        return [public for layer in sorted(names) for public in names[layer]]
     for layer in _LAYERS:
         if name in layer.__all__:
             return getattr(layer, name)

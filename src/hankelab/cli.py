@@ -6,12 +6,19 @@ reports), lgv (path-family oracle against the determinant).  Output is
 CSV by default or JSON with --format json, written byte-identically for
 identical inputs.  Exit status: 0 all comparisons match, 1 a comparison
 mismatched, 2 a parse or domain error (one line on stderr).
+
+The grammar is one table, `_COMMANDS`: a row per subcommand.  An option
+takes its value as the next argument or after '=' (`--n-max=3`), may be
+shortened to a unique prefix (`--n-m 3`), and keeps its last value when
+repeated; a value may be a negative number.  `-h` or `--help` prints
+the usage the table gives.  Usage errors are worded as `argparse` words
+them, which this parser replaced to keep it off every command's start-up.
 """
 
 from __future__ import annotations
 
-import argparse
 import sys
+import types
 
 # `registry`, `orthopoly` and `lattice` are bound as modules, so importing
 # the CLI does not run them; each runs on the first command that reads it.
@@ -21,7 +28,7 @@ from .hankel import (
 )
 from .sequences import terms
 
-__all__ = ["build_parser", "run", "main"]
+__all__ = ["run", "main"]
 
 
 def __getattr__(name):
@@ -30,17 +37,6 @@ def __getattr__(name):
     if name == "fit_spec":
         return orthopoly.fit_spec
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
-class _ArgumentError(Exception):
-    pass
-
-
-class _Parser(argparse.ArgumentParser):
-    """Raises instead of exiting so run() can emit one stderr line."""
-
-    def error(self, message):
-        raise _ArgumentError(message)
 
 
 def _cmd_seq(args) -> int:
@@ -90,72 +86,188 @@ def _cmd_lgv(args) -> int:
     return 0 if status == "match" else 1
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(prog="hankelab",
-                     description="exact Hankel determinant workbench")
-    sub = parser.add_subparsers(dest="command", required=True, metavar="command")
+# An option: (flag, int or a tuple of choices, default, required, help).
+_FORMAT = ("--format", ("csv", "json"), "csv", False, "output format (default csv)")
 
-    def fmt_option(p):
-        p.add_argument("--format", choices=("csv", "json"), default="csv",
-                       help="output format (default csv)")
+# A subcommand: (help, positional argument (name, help) or None, options,
+# handler).  The handler gets a namespace with one attribute per argument.
+_COMMANDS = {
+    "seq": ("print the first terms of a sequence spec",
+            ("spec", "sequence spec, e.g. 'catalan|double-signed'"),
+            (("--terms", int, None, True, "how many terms"), _FORMAT),
+            _cmd_seq),
+    "hankel": ("print a Hankel determinant sequence",
+               ("spec", "sequence spec"),
+               (("--n-max", int, None, True, "largest matrix order to evaluate"),
+                ("--offset", (0, 1), 0, False,
+                 "index offset of the matrix entries (default 0)"),
+                _FORMAT),
+               _cmd_hankel),
+    "fit": ("fit three-term recurrence coefficients",
+            ("spec", "sequence spec"),
+            (("--depth", int, None, True, "number of s coefficients to recover"),
+             _FORMAT),
+            _cmd_fit),
+    "verify": ("check a formula id against determinants",
+               ("id", "formula id, e.g. thm7.3; see the registry"),
+               (("--n-max", int, None, False, "override the documented range"),
+                ("--r", int, None, False, "pin the r parameter of parameterized ids"),
+                _FORMAT),
+               _cmd_verify),
+    "scan": ("walk a conjectured pattern range",
+             ("id", "conjecture id, e.g. conj7.2; see the registry"),
+             (("--k-max", int, None, False, "largest pattern parameter k"),
+              ("--n-max", int, None, False, "override the documented range"),
+              _FORMAT),
+             _cmd_scan),
+    "lgv": ("compare the path-family oracle with the determinant",
+            None,
+            (("--n", int, None, True, "matrix order"), _FORMAT),
+            _cmd_lgv),
+}
 
-    p = sub.add_parser("seq", help="print the first terms of a sequence spec")
-    p.add_argument("spec", help="sequence spec, e.g. 'catalan|double-signed'")
-    p.add_argument("--terms", type=int, required=True, help="how many terms")
-    fmt_option(p)
-    p.set_defaults(handler=_cmd_seq)
+_HELP = ("-h", "--help")
 
-    p = sub.add_parser("hankel", help="print a Hankel determinant sequence")
-    p.add_argument("spec")
-    p.add_argument("--n-max", type=int, required=True,
-                   help="largest matrix order to evaluate")
-    p.add_argument("--offset", type=int, choices=(0, 1), default=0,
-                   help="index offset of the matrix entries (default 0)")
-    fmt_option(p)
-    p.set_defaults(handler=_cmd_hankel)
 
-    p = sub.add_parser("fit", help="fit three-term recurrence coefficients")
-    p.add_argument("spec")
-    p.add_argument("--depth", type=int, required=True,
-                   help="number of s coefficients to recover")
-    fmt_option(p)
-    p.set_defaults(handler=_cmd_fit)
+def _lookup(arg: str, flags) -> tuple:
+    """(flag, value after '=' or None) for an argument naming one of
+    `flags`: in full, by a unique prefix of a long flag, or as a short flag
+    with its value attached.  (None, None) for another option; () for a
+    value: an argument not starting with '-', '-', '--' or a negative
+    number."""
+    if not arg.startswith("-") or arg in ("-", "--"):
+        return ()
+    if arg in flags:
+        return arg, None
+    name, eq, value = arg.partition("=")
+    if eq and name in flags:
+        return name, value
+    if arg.startswith("--"):
+        found = [flag for flag in flags if flag.startswith(name)]
+        if len(found) > 1:
+            raise ValueError(f"ambiguous option: {arg} could match {', '.join(found)}")
+        if found:
+            return found[0], value if eq else None
+    elif arg[:2] in flags:
+        return arg[:2], arg[2:]
+    whole, dot, fraction = arg[1:].partition(".")
+    if (fraction if dot else whole).isdecimal() and (whole.isdecimal() or not whole):
+        return ()
+    return None, None
 
-    p = sub.add_parser("verify", help="check a formula id against determinants")
-    p.add_argument("id", help="formula id, e.g. thm7.3; see the registry")
-    p.add_argument("--n-max", type=int, default=None,
-                   help="override the documented range")
-    p.add_argument("--r", type=int, default=None,
-                   help="pin the r parameter of parameterized ids")
-    fmt_option(p)
-    p.set_defaults(handler=_cmd_verify)
 
-    p = sub.add_parser("scan", help="walk a conjectured pattern range")
-    p.add_argument("id")
-    p.add_argument("--k-max", type=int, default=None,
-                   help="largest pattern parameter k")
-    p.add_argument("--n-max", type=int, default=None,
-                   help="override the documented range")
-    fmt_option(p)
-    p.set_defaults(handler=_cmd_scan)
+def _value(option, text: str):
+    flag, kind, *_ = option
+    convert = type(kind[0]) if isinstance(kind, tuple) else kind
+    try:
+        value = convert(text)
+    except ValueError:
+        raise ValueError(
+            f"argument {flag}: invalid {convert.__name__} value: {text!r}") from None
+    if isinstance(kind, tuple) and value not in kind:
+        raise ValueError(f"argument {flag}: invalid choice: {value!r} "
+                         f"(choose from {', '.join(map(repr, kind))})")
+    return value
 
-    p = sub.add_parser("lgv", help="compare the path-family oracle with the determinant")
-    p.add_argument("--n", type=int, required=True, help="matrix order")
-    fmt_option(p)
-    p.set_defaults(handler=_cmd_lgv)
 
-    return parser
+def _parse(argv: list) -> tuple:
+    """The handler of a command line and its argument: the namespace of the
+    command's arguments, or the usage text that `-h` asks for."""
+    extras = []
+    for at, arg in enumerate(argv):
+        found = _lookup(arg, _HELP)
+        if not found:
+            break
+        if found[0]:
+            return _help(None, found[1])
+        extras.append(arg)
+    else:
+        raise ValueError("the following arguments are required: command")
+    if arg not in _COMMANDS:
+        raise ValueError(f"argument command: invalid choice: {arg!r} "
+                         f"(choose from {', '.join(map(repr, _COMMANDS))})")
+    command, (_, positional, options, handler) = arg, _COMMANDS[arg]
+    flags = dict.fromkeys(_HELP)
+    flags.update((option[0], option) for option in options)
+    # The first '--' is dropped, and no option takes it or what follows as
+    # its value: every argument after it is a value.
+    rest = argv[at + 1:]
+    cut = rest.index("--") if "--" in rest else len(rest)
+    kinds = [_lookup(arg, flags) for arg in rest[:cut]] + [True] + [()] * len(rest)
+    given = {}
+    pairs = zip(rest, kinds)
+    for arg, found in pairs:
+        if found is True:
+            continue
+        if not found:
+            if positional and positional[0] not in given:
+                given[positional[0]] = arg
+            else:
+                extras.append(arg)
+            continue
+        flag, text = found
+        if flag is None:
+            extras.append(arg)
+            continue
+        if flags[flag] is None:
+            return _help(command, text)
+        if text is None:
+            text, option = next(pairs, (None, True))
+            if option:
+                raise ValueError(f"argument {flag}: expected one argument")
+        given[flag] = _value(flags[flag], text)
+    required = [positional[0]] if positional else []
+    required += [flag for flag, _, _, needed, _ in options if needed]
+    missing = [name for name in required if name not in given]
+    if missing:
+        raise ValueError(f"the following arguments are required: {', '.join(missing)}")
+    if extras:
+        raise ValueError(f"unrecognized arguments: {' '.join(extras)}")
+    values = {flag[2:].replace("-", "_"): given.get(flag, default)
+              for flag, _, default, _, _ in options}
+    if positional:
+        values[positional[0]] = given[positional[0]]
+    return handler, types.SimpleNamespace(**values)
+
+
+def _help(command: str | None, value: str | None) -> tuple:
+    """The handler that prints the usage of a command, or of the program
+    for None, and that text.  `-h` takes no value."""
+    if value is not None:
+        raise ValueError(f"argument -h/--help: ignored explicit argument {value!r}")
+    if command is None:
+        rows = [(name, row[0]) for name, row in _COMMANDS.items()]
+        text = ("usage: hankelab COMMAND [ARGUMENT] [OPTION ...]\n\n"
+                "exact Hankel determinant workbench\n\ncommands:\n")
+        tail = ("\nRun 'hankelab COMMAND --help' for the options of a command.  An\n"
+                "option takes its value next or after '=', and a unique prefix\n"
+                "of its name will do: --n-max=3, --n-m 3.\n")
+    else:
+        about, positional, options, _ = _COMMANDS[command]
+        rows = [positional] if positional else []
+        words = [positional[0]] if positional else []
+        for flag, kind, _, required, about_option in options:
+            shown = (f"{{{','.join(map(str, kind))}}}" if isinstance(kind, tuple)
+                     else flag[2:].replace("-", "_").upper())
+            rows.append((f"{flag} {shown}", about_option))
+            words.append(f"{flag} {shown}" if required else f"[{flag} {shown}]")
+        text = f"usage: hankelab {command} {' '.join(words)}\n\n{about}\n\narguments:\n"
+        tail = ""
+    rows.append(("-h, --help", "print this help and exit"))
+    width = max(len(left) for left, _ in rows) + 2
+    text += "".join(f"  {left.ljust(width)}{right}\n" for left, right in rows)
+    return _write_help, text + tail
+
+
+def _write_help(text: str) -> int:
+    sys.stdout.write(text)
+    return 0
 
 
 def run(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except _ArgumentError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    try:
-        return args.handler(args)
+        handler, args = _parse(sys.argv[1:] if argv is None else list(argv))
+        return handler(args)
     except (ValueError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -14,9 +14,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .exactnum import (
-    Polynomial, RationalFunction, _cleared, _Frozen, _is_scalar, _set, exact_divide,
-)
+from . import ring
+from .exactnum import _cleared, _Frozen, _is_scalar, _set, exact_divide
 from .sequences import POLYNOMIAL, SequenceSpec, parse_spec, terms
 
 __all__ = [
@@ -31,17 +30,19 @@ __all__ = [
 
 
 def _ring_one(spec: SequenceSpec):
-    return Polynomial.one() if spec.kind == POLYNOMIAL else Fraction(1)
+    return ring.Polynomial.one() if spec.kind == POLYNOMIAL else Fraction(1)
 
 
 def csv_cell(value) -> str:
     """CSV cell for a value; symbolic values are quoted, and so is text with
     a comma, quote or line break (inner quotes doubled, as in RFC 4180)."""
-    if isinstance(value, (Polynomial, RationalFunction)):
-        return f'"{value}"'
-    if isinstance(value, str) and any(ch in value for ch in ',"\r\n'):
-        return '"' + value.replace('"', '""') + '"'
-    return str(value)
+    if isinstance(value, str):
+        if any(ch in value for ch in ',"\r\n'):
+            return '"' + value.replace('"', '""') + '"'
+        return value
+    if _is_scalar(value) or not isinstance(value, (ring.Polynomial, ring.RationalFunction)):
+        return str(value)
+    return f'"{value}"'
 
 
 def csv_table(header, rows, *trailer) -> str:
@@ -200,8 +201,9 @@ def _minors(rows) -> list:
     entries = [a for row in rows for a in row]
     if not all(isinstance(a, (int, Fraction)) for a in entries):
         minors = _leading_minors(rows)
-        if any(isinstance(a, Polynomial) for a in entries):
-            return [Polynomial.zero() if _is_scalar(d) and not d else d for d in minors]
+        poly = ring.Polynomial
+        if any(isinstance(a, poly) for a in entries):
+            return [poly.zero() if _is_scalar(d) and not d else d for d in minors]
         return minors
     ints, scale = _cleared(*rows)
     return [Fraction(d, scale**n) for n, d in enumerate(_leading_minors(ints), 1)]

@@ -12,7 +12,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .exactnum import Polynomial, binomial
+from . import ring
+from .exactnum import binomial
 
 __all__ = [
     "LGV_LIMIT",
@@ -27,23 +28,24 @@ __all__ = [
 LGV_LIMIT = 4
 
 
-def weighted_triangle_entry(n: int, j: int) -> Polynomial:
+def weighted_triangle_entry(n: int, j: int) -> ring.Polynomial:
     """Weight sum over height-nonnegative paths from (0, 0) to (n, j)."""
     if n < 0 or j < 0:
         raise ValueError("indices must be >= 0")
-    t = Polynomial.variable_poly("t")
-    state = {0: Polynomial.one()}
+    zero = ring.Polynomial.zero()
+    t = ring.Polynomial.variable_poly("t")
+    state = {0: ring.Polynomial.one()}
     for step in range(n):
         remaining = n - step - 1
-        new: dict[int, Polynomial] = {}
+        new: dict[int, ring.Polynomial] = {}
         for h, w in state.items():
             if abs(j - (h + 1)) <= remaining:
-                new[h + 1] = new.get(h + 1, Polynomial.zero()) + w
+                new[h + 1] = new.get(h + 1, zero) + w
             if h >= 1 and abs(j - (h - 1)) <= remaining:
                 down = w * t if (h - 1) % 2 else w
-                new[h - 1] = new.get(h - 1, Polynomial.zero()) + down
+                new[h - 1] = new.get(h - 1, zero) + down
         state = new
-    return state.get(j, Polynomial.zero())
+    return state.get(j, zero)
 
 
 def lgv_matrix(n: int) -> list:
@@ -76,7 +78,7 @@ def _path_atoms(x0: int, x1: int, x_base: int, stride: int) -> list:
     return atoms
 
 
-def lgv_bruteforce(n: int) -> Polynomial:
+def lgv_bruteforce(n: int) -> ring.Polynomial:
     """Signed weight sum over vertex-disjoint path families.
 
     Path i runs from (-2i, 0) to (2 sigma(i) + 2, 2) and the family weight
@@ -88,7 +90,7 @@ def lgv_bruteforce(n: int) -> Polynomial:
     if n > LGV_LIMIT:
         raise ValueError(f"family enumeration is limited to n <= {LGV_LIMIT}")
     if n == 0:
-        return Polynomial.one()
+        return ring.Polynomial.one()
     x_base = -2 * (n - 1)
     stride = 2 * n + 1
     atoms = [
@@ -118,7 +120,7 @@ def lgv_bruteforce(n: int) -> Polynomial:
 
     assign(0, 0, 0, 0, 0)
     top = max(coeffs, default=0)
-    return Polynomial([coeffs.get(e, 0) for e in range(top + 1)], "t")
+    return ring.Polynomial([coeffs.get(e, 0) for e in range(top + 1)], "t")
 
 
 def dual_sum(n: int, k: int) -> tuple:
@@ -131,15 +133,15 @@ def dual_sum(n: int, k: int) -> tuple:
     if not 0 <= k <= n - 1:
         raise ValueError("need 0 <= k <= n - 1")
     if k == 0:
-        return 0, Polynomial.one()
+        return 0, ring.Polynomial.one()
     coeffs = [
         Fraction(binomial(s - 1, k - 1) * binomial(n + k - 1 - s, k))
         for s in range(n - 1, k - 1, -1)
     ]
-    return n - 1, Polynomial(coeffs, "t")
+    return n - 1, ring.Polynomial(coeffs, "t")
 
 
-def dual_sum_total(n: int) -> Polynomial:
+def dual_sum_total(n: int) -> ring.Polynomial:
     """Alternating sum of the dual-path blocks, cleared to a polynomial.
 
     Equals t^(binomial(n,2)) times the signed t^(-s) double sum; defined
@@ -147,20 +149,22 @@ def dual_sum_total(n: int) -> Polynomial:
     """
     if n < 1:
         raise ValueError("need n >= 1")
-    acc = Polynomial.zero()
+    monomial = ring.Polynomial.monomial
+    acc = ring.Polynomial.zero()
     for k in range(n):
         shift, part = dual_sum(n, k)
-        aligned = part * Polynomial.monomial("t", (n - 1) - shift)
+        aligned = part * monomial("t", (n - 1) - shift)
         acc = acc + aligned if k % 2 == 0 else acc - aligned
-    return acc * Polynomial.monomial("t", binomial(n, 2) - (n - 1))
+    return acc * monomial("t", binomial(n, 2) - (n - 1))
 
 
-def dual_sum_closed(n: int) -> Polynomial:
+def dual_sum_closed(n: int) -> ring.Polynomial:
     """Closed form t^(binomial(n,2)) * sum of (-1)^s binom(n-s,s) t^(-s)."""
     if n < 0:
         raise ValueError("need n >= 0")
-    acc = Polynomial.zero()
+    monomial = ring.Polynomial.monomial
+    acc = ring.Polynomial.zero()
     for s in range(n // 2 + 1):
-        term = Polynomial.monomial("t", binomial(n, 2) - s, binomial(n - s, s))
+        term = monomial("t", binomial(n, 2) - s, binomial(n - s, s))
         acc = acc + term if s % 2 == 0 else acc - term
     return acc

@@ -15,9 +15,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .exactnum import (
-    Polynomial, RationalFunction, _cleared, _Frozen, _set, exact_divide,
-)
+from . import ring
+from .exactnum import _cleared, _Frozen, _is_scalar, _set, exact_divide
 from .hankel import csv_table, det_exact, json_table
 from .sequences import terms
 
@@ -98,10 +97,8 @@ class Triangle(_Frozen):
 
 
 def _lift(moments: list) -> list:
-    return [
-        m if isinstance(m, RationalFunction) else RationalFunction(m)
-        for m in moments
-    ]
+    rf = ring.RationalFunction
+    return [m if isinstance(m, rf) else rf(m) for m in moments]
 
 
 def fit_recurrence(moments, depth: int) -> JacobiData:
@@ -124,11 +121,11 @@ def fit_recurrence(moments, depth: int) -> JacobiData:
     if depth == 0:
         return JacobiData((), ())
     head = list(moments[: 2 * depth])
-    if any(isinstance(m, (Polynomial, RationalFunction)) for m in head):
-        s, t = _fit_field(_lift(head), depth)
-    else:
+    if all(map(_is_scalar, head)):
         (ints,), _ = _cleared(head)
         s, t = _fit_integers(ints, depth)
+    else:
+        s, t = _fit_field(_lift(head), depth)
     return JacobiData(tuple(s), tuple(t))
 
 
@@ -278,9 +275,9 @@ def aeration_collapse(weights) -> JacobiData:
     return JacobiData(tuple(s), tuple(t))
 
 
-def poly_from_recurrence(jd: JacobiData, n: int, var: str = "x") -> Polynomial:
+def poly_from_recurrence(jd: JacobiData, n: int, var: str = "x") -> ring.Polynomial:
     """Monic degree-n polynomial p(n, x) from the recurrence."""
-    return ortho_value(jd, n, Polynomial.variable_poly(var))
+    return ortho_value(jd, n, ring.Polynomial.variable_poly(var))
 
 
 def ortho_value(jd: JacobiData, n: int, point):
@@ -323,7 +320,7 @@ def shifted_det(jd: JacobiData, n: int, det0):
     return value if n % 2 == 0 else -value
 
 
-def moment_functional(moments, poly: Polynomial):
+def moment_functional(moments, poly: ring.Polynomial):
     """Apply the functional x^e -> moments[e] to a polynomial termwise."""
     if poly.degree >= len(moments):
         raise ValueError("not enough moments for this degree")
@@ -359,11 +356,12 @@ def pencil_identity_check(moments, n: int, x0) -> PencilCheck:
     need = max(2 * n, 1)
     if len(moments) < need:
         raise ValueError(f"need {need} moments, got {len(moments)}")
-    one = (
-        Polynomial.one()
-        if any(isinstance(m, Polynomial) for m in moments[:need])
-        else Fraction(1)
-    )
+    head = moments[:need]
+    one = Fraction(1)
+    if not all(map(_is_scalar, head)):
+        poly = ring.Polynomial
+        if any(isinstance(m, poly) for m in head):
+            one = poly.one()
     pencil = [
         [moments[i + j] * x0 - moments[i + j + 1] for j in range(n)]
         for i in range(n)

@@ -13,9 +13,9 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .exactnum import Polynomial, PowerSeries, _Frozen, _set, _Value, binomial
+from . import lattice, ring
+from .exactnum import PowerSeries, _Frozen, _set, _Value, binomial
 from .hankel import csv_table, det_sequence, json_table
-from .lattice import dual_sum_closed
 from .sequences import (
     catalan_convolution,
     catalan_series,
@@ -77,9 +77,9 @@ def _cf_eq312(n, r):
 
 
 def _cf_thm41(n, r):
-    x = Polynomial((-2, -1), "t")
-    s = Polynomial((0, -1), "t")
-    lead = Polynomial.monomial("t", binomial(n, 2), _sign(n))
+    x = ring.Polynomial((-2, -1), "t")
+    s = ring.Polynomial((0, -1), "t")
+    lead = ring.Polynomial.monomial("t", binomial(n, 2), _sign(n))
     return lead * fibonacci_poly(n + 1, x, s)
 
 
@@ -92,7 +92,7 @@ def _cf_eq410(n, r):
 
 
 def _cf_thm52(n, r):
-    return dual_sum_closed(n)
+    return lattice.dual_sum_closed(n)
 
 
 def _cf_eq122(n, r):
@@ -149,8 +149,8 @@ def _cf_even_conv_poly(n, k):
     if j > 1:
         return None
     exponent = k * k * binomial(m, 2) + j * k * m
-    lead = Polynomial.monomial("t", exponent, _sign(binomial(k, 2) * m))
-    return lead * q_integer(m + 1, Polynomial.monomial("t", k)) ** (k - 1)
+    lead = ring.Polynomial.monomial("t", exponent, _sign(binomial(k, 2) * m))
+    return lead * q_integer(m + 1, ring.Polynomial.monomial("t", k)) ** (k - 1)
 
 
 # The observed rows add residues the patterns leave open.
@@ -523,16 +523,17 @@ def _scan_even_residues(k_max: int = 4) -> tuple:
     return entries, {"k_max": k_max, "periods": 3}
 
 
-def _conj76_expected(n: int) -> Polynomial:
+def _conj76_expected(n: int) -> ring.Polynomial:
     m, j = divmod(n, 3)
     if j != 2:
         return _cf_even_conv_poly(n, 3)
-    lead = Polynomial.monomial("t", 3 * m * (3 * m + 1) // 2, 3 * _sign(m + 1))
-    ripple = Polynomial.zero()
+    poly = ring.Polynomial
+    lead = poly.monomial("t", 3 * m * (3 * m + 1) // 2, 3 * _sign(m + 1))
+    ripple = poly.zero()
     for i in range(2 * m + 1):
         coeff = binomial(min(i, 2 * m - i) + 2, 2)
-        ripple = ripple + Polynomial.monomial("t", 3 * i, coeff)
-    return lead * q_integer(3, Polynomial.variable_poly("t")) * ripple
+        ripple = ripple + poly.monomial("t", 3 * i, coeff)
+    return lead * q_integer(3, poly.variable_poly("t")) * ripple
 
 
 def _scan_conv6(n_max: int) -> tuple:
@@ -551,7 +552,7 @@ def _scan_conv_even(n_max: int, k_max: int = 3) -> tuple:
         for n in range(n_max + 1):
             expected = _cf_even_conv_poly(k * n, k)
             entries.append(_compared(k * n, expected, dets[k * n], k=k))
-            shifted = expected * Polynomial.monomial("t", k * n)
+            shifted = expected * ring.Polynomial.monomial("t", k * n)
             entries.append(_compared(k * n + 1, shifted, dets[k * n + 1], k=k))
     return entries, {"k_max": k_max, "n_max": n_max}
 

@@ -13,7 +13,8 @@ import math
 from fractions import Fraction
 from functools import partial
 
-from .exactnum import Polynomial, PowerSeries, _set, _Value, binomial
+from . import ring
+from .exactnum import PowerSeries, _set, _Value, binomial
 
 __all__ = [
     "SpecError",
@@ -96,34 +97,35 @@ def u_number(n: int, r: int) -> Fraction:
     return _u_prefix(r, n + 1)[n]
 
 
-def narayana_poly(n: int) -> Polynomial:
+def narayana_poly(n: int) -> ring.Polynomial:
     if n == 0:
-        return Polynomial.one()
+        return ring.Polynomial.one()
     coeffs = [
         Fraction(binomial(n, k) * binomial(n - 1, k), k + 1) for k in range(n)
     ]
     _require_integers(coeffs, f"narayana polynomial {n}")
-    return Polynomial(coeffs, "t")
+    return ring.Polynomial(coeffs, "t")
 
 
-def narayana_b_poly(n: int) -> Polynomial:
-    return Polynomial([binomial(n, k) ** 2 for k in range(n + 1)], "t")
+def narayana_b_poly(n: int) -> ring.Polynomial:
+    return ring.Polynomial([binomial(n, k) ** 2 for k in range(n + 1)], "t")
 
 
 def narayana_series(order: int) -> PowerSeries:
     """Generating series of the narayana polynomials, built by the
     quadratic recursion its functional equation gives for the coefficients."""
-    t = Polynomial.variable_poly("t")
-    coeffs: list[Polynomial] = [Polynomial.one()]
+    zero = ring.Polynomial.zero()
+    t = ring.Polynomial.variable_poly("t")
+    coeffs: list[ring.Polynomial] = [ring.Polynomial.one()]
     for n in range(1, order + 1):
-        square = Polynomial.zero()
+        square = zero
         for i in range(n):
             square = square + coeffs[i] * coeffs[n - 1 - i]
         coeffs.append(coeffs[n - 1] - t * coeffs[n - 1] + t * square)
     return PowerSeries(coeffs)
 
 
-def _conv_prefix(m: int, count: int) -> list[Polynomial]:
+def _conv_prefix(m: int, count: int) -> list[ring.Polynomial]:
     """conv_poly(0..count-1, m), from one power of the narayana series."""
     if not count:
         return []
@@ -132,13 +134,11 @@ def _conv_prefix(m: int, count: int) -> list[Polynomial]:
     series = start ** (m // 2)
     if m % 2:
         series = full * series  # a product keeps the shorter order
-    return [
-        c if isinstance(c, Polynomial) else Polynomial.constant(c)
-        for c in series.coeffs
-    ]
+    poly = ring.Polynomial
+    return [c if isinstance(c, poly) else poly.constant(c) for c in series.coeffs]
 
 
-def conv_poly(n: int, m: int) -> Polynomial:
+def conv_poly(n: int, m: int) -> ring.Polynomial:
     """m-fold convolution analogue of the narayana polynomials.
 
     Each call builds the prefix 0..n; `terms` builds a run at once.
@@ -423,13 +423,14 @@ def _consecutive_sum(below, _, count: int) -> list:
     return [values[i] + values[i + 1] for i in range(count)]
 
 
-def _evaluated(value, arg):
-    return value.evaluate(arg[1]) if isinstance(value, Polynomial) else value
-
-
 def _termwise(fn):
     """A stage that asks for as many terms as it gives and maps fn(term, arg)."""
     return lambda below, arg, count: [fn(v, arg) for v in below(count)]
+
+
+def _eval(below, arg, count: int) -> list:
+    poly, point = ring.Polynomial, arg[1]
+    return [v.evaluate(point) if isinstance(v, poly) else v for v in below(count)]
 
 
 _TRANSFORMS = {
@@ -439,5 +440,5 @@ _TRANSFORMS = {
     "consecutive-sum": (None, None, None, _consecutive_sum),
     "abs": (None, RATIONAL, None, _termwise(lambda v, _: abs(v))),
     "scale": (_read_scale, None, None, _termwise(lambda v, factor: v * factor)),
-    "eval": (_read_eval, POLYNOMIAL, RATIONAL, _termwise(_evaluated)),
+    "eval": (_read_eval, POLYNOMIAL, RATIONAL, _eval),
 }

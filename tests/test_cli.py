@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 from hankelab import registry
-from hankelab.cli import run
+from hankelab.cli import _COMMANDS, _lookup, run
 from hankelab.registry import VerificationReport, _compared
 
 
@@ -143,6 +143,67 @@ def test_errors_exit_two_with_one_line(capsys, argv):
     assert out == ""
     lines = err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: ")
+
+
+@pytest.mark.parametrize("command", [None, *_COMMANDS])
+def test_help_names_every_argument_and_help_string(capsys, command):
+    argv = ["--help"] if command is None else [command, "--help"]
+    code, out, err = _capture(capsys, argv)
+    assert (code, err) == (0, "")
+    assert out.startswith("usage: hankelab ")
+    if command is None:
+        wanted = [text for name, row in _COMMANDS.items() for text in (name, row[0])]
+    else:
+        about, positional, options, _ = _COMMANDS[command]
+        wanted = [about, *(positional or ()), *(text for option in options
+                                                for text in (option[0], option[4]))]
+    assert [text for text in wanted if text not in out] == []
+
+
+def test_help_wins_over_later_arguments_and_loses_to_earlier_errors(capsys):
+    code, out, err = _capture(capsys, ["-h", "nosuch"])
+    assert (code, err) == (0, "") and "commands:" in out
+    code, out, err = _capture(capsys, ["seq", "-h", "--terms", "x"])
+    assert (code, err) == (0, "") and "--terms TERMS" in out
+    code, out, err = _capture(capsys, ["seq", "--terms", "x", "-h"])
+    assert (code, out) == (2, "")
+    assert err == "error: argument --terms: invalid int value: 'x'\n"
+
+
+@pytest.mark.parametrize(("arg", "found"), [
+    ("catalan", ()),
+    ("-", ()),
+    ("--", ()),
+    ("-1", ()),
+    ("-2.5", ()),
+    ("-.5", ()),
+    ("-1.", (None, None)),
+    ("-x", (None, None)),
+    ("--bogus", (None, None)),
+    ("--alpha", ("--alpha", None)),
+    ("--al", ("--alpha", None)),
+    ("--al=-3", ("--alpha", "-3")),
+    ("--beta=", ("--beta", "")),
+    ("-h", ("-h", None)),
+    ("-hx", ("-h", "x")),
+])
+def test_an_argument_is_a_flag_an_unknown_option_or_a_value(arg, found):
+    assert _lookup(arg, ("-h", "--help", "--alpha", "--beta", "--betty")) == found
+
+
+def test_an_ambiguous_prefix_names_every_flag_it_matches():
+    with pytest.raises(ValueError, match="^ambiguous option: --bet could match --beta, --betty$"):
+        _lookup("--bet", ("--alpha", "--beta", "--betty"))
+
+
+def test_option_values_may_be_attached_and_the_last_one_wins(capsys):
+    argv = ["hankel", "--n-max=9", "catalan", "--offset=1", "--n-max", "2", "--f", "json"]
+    assert _capture(capsys, argv) == (0, '[\n  "1",\n  "1",\n  "1"\n]\n', "")
+
+
+def test_no_option_takes_a_double_dash_as_its_value(capsys):
+    code, out, err = _capture(capsys, ["hankel", "catalan", "--n-max", "--", "2"])
+    assert (code, out, err) == (2, "", "error: argument --n-max: expected one argument\n")
 
 
 def test_mismatch_exits_one(capsys, monkeypatch):

@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from hankelab import exactnum, orthopoly
+from hankelab import orthopoly, ring
 from hankelab.exactnum import Polynomial, RationalFunction
 from hankelab.hankel import det_cofactor, det_exact, hankel_matrix
 from hankelab.orthopoly import (
@@ -75,14 +75,14 @@ def test_fit_narayana_b():
 
 def test_fit_over_q_of_t_runs_no_gcd_for_constant_denominators(monkeypatch):
     calls = []
-    gcd = exactnum.poly_gcd
-    monkeypatch.setattr(exactnum, "poly_gcd",
+    gcd = ring.poly_gcd
+    monkeypatch.setattr(ring, "poly_gcd",
                         lambda a, b: calls.append(1) or gcd(a, b))
     data = fit_spec("narayana", 20)
     monkeypatch.undo()
     # Every Jacobi parameter is a polynomial in t, so almost every
     # RationalFunction built on the way has a constant denominator.
-    assert len(calls) < 100
+    assert 0 < len(calls) < 100
     assert data.s == (1,) + (Polynomial.parse("1 + t"),) * 19
     assert data.t == (Polynomial.parse("t"),) * 19
 

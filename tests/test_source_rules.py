@@ -1,11 +1,12 @@
 """Rules on the package source itself: invariants are real exceptions,
 so they still hold under `python -O`, which strips `assert` statements;
 the package needs nothing beyond the standard library; importing the
-CLI stays off `dataclasses`, `inspect` and `json`, which every command
-would pay for at start-up; each command runs only the layers it uses,
-and a layer's first load is safe across threads; the registry does not
-import the fit; the public names stay what they are; and the names the
-benchmark tracer wraps stay where it looks for them."""
+CLI stays off `dataclasses`, `inspect`, `json` and `argparse`, which
+every command would pay for at start-up; each command runs only the
+layers it uses, and the polynomial ring only when its values are
+polynomials; a layer's first load is safe across threads; the registry
+does not import the fit; the public names stay what they are; and the
+names the benchmark tracer wraps stay where it looks for them."""
 
 from __future__ import annotations
 
@@ -94,7 +95,8 @@ def _bytecode() -> dict:
 def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():
     code = (
         "import sys; sys.path.insert(0, sys.argv[1]); import hankelab.cli; "
-        "print(sorted({'dataclasses', 'inspect', 'json'} & set(sys.modules)))"
+        "print(sorted({'dataclasses', 'inspect', 'json', 'argparse', 'gettext', "
+        "'locale'} & set(sys.modules)))"
     )
     before = _bytecode()
     assert _run_isolated(code) == "[]\n"
@@ -103,40 +105,51 @@ def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():
     assert _bytecode() == before
 
 
-# Runs `import hankelab` (MODE package) or `import hankelab.cli` and then
-# ARGV as a command, and prints each layer as executed or deferred.  A
-# deferred layer is not a plain module, and `type()` reads no attribute of
-# it, so the probe loads nothing.
+# Runs `import hankelab` and then, by MODE, nothing (package), ARGS as
+# names read from the package (read), or `import hankelab.cli` and ARGS
+# as a command (cli); it prints each layer and the ring as executed or
+# deferred.  A deferred module is not a plain module, and `type()` reads
+# no attribute of it, so the probe loads nothing.
 LOAD_PROBE = """
 import contextlib, io, sys, types
-src, mode, *argv = sys.argv[1:]
+src, mode, *args = sys.argv[1:]
 sys.path.insert(0, src)
 import hankelab
+if mode == "read":
+    for name in args:
+        getattr(hankelab, name)
 if mode == "cli":
     import hankelab.cli
-    if argv:
+    if args:
         with contextlib.redirect_stdout(io.StringIO()):
-            if hankelab.cli.run(argv):
+            if hankelab.cli.run(args):
                 sys.exit("command failed")
-for name in ("exactnum", "hankel", "lattice", "orthopoly", "registry", "sequences"):
+for name in ("exactnum", "hankel", "lattice", "orthopoly", "registry", "sequences", "ring"):
     module = sys.modules["hankelab." + name]
     print(name, "executed" if type(module) is types.ModuleType else "deferred")
 """
 EAGER = {"exactnum", "hankel", "sequences"}
 
 
-@pytest.mark.parametrize(("mode", "argv", "executed"), [
+@pytest.mark.parametrize(("mode", "args", "executed"), [
     ("package", (), set()),
+    ("read", ("terms",), {"exactnum", "sequences"}),
+    ("read", ("det_sequence",), EAGER),
     ("cli", (), EAGER),
     ("cli", ("hankel", "catalan", "--n-max", "3"), EAGER),
     ("cli", ("seq", "catalan", "--terms", "3"), EAGER),
     ("cli", ("fit", "catalan", "--depth", "2"), EAGER | {"orthopoly"}),
-    ("cli", ("verify", "thm5.2"), EAGER | {"registry", "lattice"}),
-], ids=["import hankelab", "import hankelab.cli", "hankel", "seq", "fit", "verify"])
-def test_each_command_runs_only_the_layers_it_uses(mode, argv, executed):
-    states = dict(line.split() for line in _run_isolated(LOAD_PROBE, mode, *argv).splitlines())
+    ("cli", ("verify", "thm2.1-d0"), EAGER | {"registry"}),
+    ("cli", ("hankel", "narayana", "--n-max", "2"), EAGER | {"ring"}),
+    ("cli", ("verify", "thm5.2"), EAGER | {"registry", "lattice", "ring"}),
+    ("cli", ("lgv", "--n", "2"), EAGER | {"lattice", "ring"}),
+], ids=["import hankelab", "hankelab.terms", "hankelab.det_sequence",
+        "import hankelab.cli", "hankel", "seq", "fit", "verify", "hankel polynomial",
+        "verify polynomial", "lgv"])
+def test_each_command_runs_only_the_layers_it_uses(mode, args, executed):
+    states = dict(line.split() for line in _run_isolated(LOAD_PROBE, mode, *args).splitlines())
     assert states == {name: "executed" if name in executed else "deferred"
-                      for name in PUBLIC_NAMES}
+                      for name in [*PUBLIC_NAMES, "ring"]}
 
 
 def test_threads_reading_a_layer_first_all_wait_for_its_load():
@@ -211,6 +224,17 @@ def test_the_public_names_are_pinned_in_order():
         for name in names:
             assert name in module.__all__
             assert getattr(hankelab, name) is getattr(module, name)
+
+
+def test_exactnum_hands_out_the_ring_names():
+    from hankelab import exactnum, ring
+    from hankelab.exactnum import Polynomial, RationalFunction, poly_gcd
+
+    assert (Polynomial, RationalFunction, poly_gcd) == (
+        ring.Polynomial, ring.RationalFunction, ring.poly_gcd)
+    assert Polynomial.__module__ == RationalFunction.__module__ == "hankelab.ring"
+    with pytest.raises(AttributeError, match="has no attribute 'nosuch'"):
+        exactnum.nosuch
 
 
 def test_the_package_lists_and_star_imports_every_public_name():
