@@ -133,8 +133,8 @@ def _lookup(arg: str, flags) -> tuple:
     """(flag, value after '=' or None) for an argument naming one of
     `flags`: in full, by a unique prefix of a long flag, or as a short flag
     with its value attached.  (None, None) for another option; () for a
-    value: an argument not starting with '-', '-', '--' or a negative
-    number."""
+    value: an argument that does not start with '-', a lone '-' or '--',
+    or a negative number."""
     if not arg.startswith("-") or arg in ("-", "--"):
         return ()
     if arg in flags:
@@ -193,7 +193,7 @@ def _parse(argv: list) -> tuple:
     # its value: every argument after it is a value.
     rest = argv[at + 1:]
     cut = rest.index("--") if "--" in rest else len(rest)
-    kinds = [_lookup(arg, flags) for arg in rest[:cut]] + [True] + [()] * len(rest)
+    kinds = [_lookup(arg, flags) for arg in rest[:cut]] + [True] + [()] * (len(rest) - cut)
     given = {}
     pairs = zip(rest, kinds)
     for arg, found in pairs:

@@ -3,9 +3,10 @@ bases, truncated power series, and the names of the polynomial ring.
 
 `Polynomial`, `RationalFunction` and `poly_gcd` are defined in `ring`,
 which runs on first use: a command whose values are all rational never
-compiles it.  They are listed here and read from here as before.  Where a
-value may be rational, the code below tests for a scalar before it names
-a ring class, so rational values never run `ring`.
+compiles it.  They are listed in `__all__` here, and reading one from
+this module runs `ring`.  Where a value may be rational, the code below
+tests for a scalar before it names a ring class, so rational values
+never run `ring`.
 """
 
 from __future__ import annotations
