@@ -134,7 +134,7 @@ def _lookup(arg: str, flags) -> tuple:
     `flags`: in full, by a unique prefix of a long flag, or as a short flag
     with its value attached.  (None, None) for another option; () for a
     value: an argument that does not start with '-', a lone '-' or '--',
-    or a negative number."""
+    a negative number, or one with a space that names no flag."""
     if not arg.startswith("-") or arg in ("-", "--"):
         return ()
     if arg in flags:
@@ -150,6 +150,8 @@ def _lookup(arg: str, flags) -> tuple:
             return found[0], value if eq else None
     elif arg[:2] in flags:
         return arg[:2], arg[2:]
+    if " " in arg:
+        return ()
     whole, dot, fraction = arg[1:].partition(".")
     if (fraction if dot else whole).isdecimal() and (whole.isdecimal() or not whole):
         return ()
@@ -179,7 +181,7 @@ def _parse(argv: list) -> tuple:
         if not found:
             break
         if found[0]:
-            return _help(None, found[1])
+            return _help(None, *found)
         extras.append(arg)
     else:
         raise ValueError("the following arguments are required: command")
@@ -210,7 +212,7 @@ def _parse(argv: list) -> tuple:
             extras.append(arg)
             continue
         if flags[flag] is None:
-            return _help(command, text)
+            return _help(command, flag, text)
         if text is None:
             text, option = next(pairs, (None, True))
             if option:
@@ -230,9 +232,11 @@ def _parse(argv: list) -> tuple:
     return handler, types.SimpleNamespace(**values)
 
 
-def _help(command: str | None, value: str | None) -> tuple:
+def _help(command: str | None, flag: str, value: str | None) -> tuple:
     """The handler that prints the usage of a command, or of the program
-    for None, and that text.  `-h` takes no value."""
+    for None, and that text.  `-h` takes no value, but may repeat: `-hh`."""
+    if flag == "-h" and value:
+        value = value.lstrip("h") or None
     if value is not None:
         raise ValueError(f"argument -h/--help: ignored explicit argument {value!r}")
     if command is None:

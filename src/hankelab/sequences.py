@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import partial
+from itertools import zip_longest
 
 from . import ring
 from .exactnum import PowerSeries, _set, _Value, binomial
@@ -53,58 +54,60 @@ class SpecError(ValueError):
 # -- closed forms and series ------------------------------------------
 
 
-def _require_integers(values, what: str) -> None:
-    """Closed forms below must come out integral; a fraction is a bug."""
-    if any(v.denominator != 1 for v in values):
+def _exact(num: int, den: int, what: str) -> int:
+    """num / den, which the closed forms below make integral; a remainder
+    is a bug."""
+    quotient, remainder = divmod(num, den)
+    if remainder:
         raise ArithmeticError(f"{what} is not integral (internal error)")
+    return quotient
+
+
+# The convolution families are coefficients of powers of one series,
+# u = z (1 + u)(1 + t u): the narayana series is N = 1 + u, and at t = 1
+# it is the catalan series C.  Lagrange inversion gives
+#     [z^n] u^k = (k/n) * sum_i C(n, i) C(n, n-k-i) t^i,
+# which at t = 1 collapses to (k/n) C(2n, n-k) = [z^(n-k)] C^(2k); the
+# rational families use the collapse, [z^n] C^r = r C(2n+r, n) / (2n+r).
+
+
+def _catalan_power(n: int, r: int) -> int:
+    """[z^n] C^r for r >= 1."""
+    return _exact(r * binomial(2 * n + r, n), 2 * n + r,
+                  f"catalan convolution ({n}, {r})")
+
+
+def _u_power(n: int, k: int) -> list[int]:
+    """The coefficients in t of [z^n] u^k."""
+    if not n or not k:
+        return [int(n == k)]
+    return [_exact(k * binomial(n, i) * binomial(n, n - k - i), n,
+                   f"[z^{n}] u^{k}") for i in range(n - k + 1)]
 
 
 def catalan_number(n: int) -> Fraction:
-    value = Fraction(math.comb(2 * n, n), n + 1)
-    _require_integers((value,), f"catalan number {n}")
-    return value
+    return catalan_convolution(n, 1)
 
 
 def catalan_convolution(n: int, r: int) -> Fraction:
     """r-fold Catalan convolution: (r / (2n+r)) * C(2n+r, n)."""
-    value = Fraction(r, 2 * n + r) * binomial(2 * n + r, n)
-    _require_integers((value,), f"catalan convolution ({n}, {r})")
-    return value
+    return Fraction(_catalan_power(n, r))
 
 
 def catalan_series(order: int) -> PowerSeries:
     return PowerSeries([catalan_number(n) for n in range(order + 1)])
 
 
-def _u_prefix(r: int, count: int) -> list[Fraction]:
-    """u(0..count-1), from one inversion of 1 - r z C(z)."""
-    if not count:
-        return []
-    cat = catalan_series(count - 1)
-    denom = PowerSeries(
-        [Fraction(1)] + [-r * cat[k] for k in range(count - 1)]
-    )
-    values = list(denom.invert().coeffs)
-    _require_integers(values, f"u number list for r={r}")
-    return values
-
-
 def u_number(n: int, r: int) -> Fraction:
-    """Coefficients of 1 / (1 - r z C(z)) with C the Catalan series.
-
-    Each call builds the prefix 0..n; `terms` builds a run at once.
-    """
-    return _u_prefix(r, n + 1)[n]
+    """Coefficients of 1 / (1 - r z C(z)) with C the Catalan series:
+    the sum of r^j [z^(n-j)] C^j over j = 0..n."""
+    if n == 0:
+        return Fraction(1)
+    return Fraction(sum(r ** j * _catalan_power(n - j, j) for j in range(1, n + 1)))
 
 
 def narayana_poly(n: int) -> ring.Polynomial:
-    if n == 0:
-        return ring.Polynomial.one()
-    coeffs = [
-        Fraction(binomial(n, k) * binomial(n - 1, k), k + 1) for k in range(n)
-    ]
-    _require_integers(coeffs, f"narayana polynomial {n}")
-    return ring.Polynomial(coeffs, "t")
+    return conv_poly(n, 1)
 
 
 def narayana_b_poly(n: int) -> ring.Polynomial:
@@ -125,25 +128,15 @@ def narayana_series(order: int) -> PowerSeries:
     return PowerSeries(coeffs)
 
 
-def _conv_prefix(m: int, count: int) -> list[ring.Polynomial]:
-    """conv_poly(0..count-1, m), from one power of the narayana series."""
-    if not count:
-        return []
-    full = narayana_series(count)
-    start = (full - PowerSeries.one(count)).shift_down(1)
-    series = start ** (m // 2)
-    if m % 2:
-        series = full * series  # a product keeps the shorter order
-    poly = ring.Polynomial
-    return [c if isinstance(c, poly) else poly.constant(c) for c in series.coeffs]
-
-
 def conv_poly(n: int, m: int) -> ring.Polynomial:
-    """m-fold convolution analogue of the narayana polynomials.
-
-    Each call builds the prefix 0..n; `terms` builds a run at once.
-    """
-    return _conv_prefix(m, n + 1)[n]
+    """m-fold convolution analogue of the narayana polynomials, which are
+    its m = 1 row: [z^n] N^(m mod 2) (u/z)^k with k = m // 2."""
+    k = m // 2
+    coeffs = _u_power(n + k, k)
+    if m % 2:
+        odd = _u_power(n + k, k + 1)
+        coeffs = [a + b for a, b in zip_longest(coeffs, odd, fillvalue=0)]
+    return ring.Polynomial(coeffs, "t")
 
 
 def _seeded(a, b, count: int, x, s) -> list:
@@ -266,13 +259,13 @@ _FAMILIES = {
         None, None, _plain(lambda n: Fraction(math.comb(2 * n, n)))
     ),
     "catconv": ("r", None, _with_param(catalan_convolution)),
-    "u": ("r", None, _u_prefix),
+    "u": ("r", None, _with_param(u_number)),
     "fibonacci": (None, None, lambda _, count: _f_prefix(0, count)),
     "lucas": (None, None, lambda _, count: _f_prefix(2, count)),
     "f-number": ("r", None, _f_prefix),
     "narayana": (None, "t", _plain(narayana_poly)),
     "narayana-b": (None, "t", _plain(narayana_b_poly)),
-    "convpoly": ("m", "t", _conv_prefix),
+    "convpoly": ("m", "t", _with_param(conv_poly)),
 }
 
 

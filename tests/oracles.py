@@ -7,15 +7,24 @@ so the two can be checked against each other.
 
 The J-fraction references are the paper's explicit recurrence
 coefficients and the orthogonal-polynomial values they give at 0
-(`h_value`, `aerated_u_p0`); the tests hold the fit to them."""
+(`h_value`, `aerated_u_p0`); the tests hold the fit to them.
+
+The series references build the `u` and `convpoly` families by power
+series arithmetic, one prefix at a time, as the library did before its
+closed forms; they share no code with `sequences._u_power`.
+
+The parser reference is the `argparse` parser that `cli._COMMANDS`
+replaced, kept here so `argparse` stays out of the package."""
 
 from __future__ import annotations
 
+import argparse
 from fractions import Fraction
 
-from hankelab.exactnum import Polynomial, RationalFunction, exact_divide
+from hankelab.cli import _cmd_fit, _cmd_hankel, _cmd_lgv, _cmd_scan, _cmd_seq, _cmd_verify
+from hankelab.exactnum import Polynomial, PowerSeries, RationalFunction, exact_divide
 from hankelab.orthopoly import JacobiData
-from hankelab.sequences import f_number, q_integer
+from hankelab.sequences import catalan_series, f_number, narayana_series, q_integer
 
 
 def bareiss_det(rows, one=Fraction(1)):
@@ -168,3 +177,101 @@ def conv4_poly_recurrence(depth: int) -> JacobiData:
         else:
             t.append(RationalFunction(-(t2 * lower), upper))
     return JacobiData(s, tuple(t))
+
+
+# -- series references for the closed forms ------------------------------
+
+
+def u_prefix(r: int, count: int) -> list[Fraction]:
+    """u(0..count-1), from one inversion of 1 - r z C(z)."""
+    if not count:
+        return []
+    cat = catalan_series(count - 1)
+    denom = PowerSeries(
+        [Fraction(1)] + [-r * cat[k] for k in range(count - 1)]
+    )
+    return list(denom.invert().coeffs)
+
+
+def conv_prefix(m: int, count: int) -> list[Polynomial]:
+    """conv_poly(0..count-1, m), from one power of the narayana series."""
+    if not count:
+        return []
+    full = narayana_series(count)
+    start = (full - PowerSeries.one(count)).shift_down(1)
+    series = start ** (m // 2)
+    if m % 2:
+        series = full * series  # a product keeps the shorter order
+    return [c if isinstance(c, Polynomial) else Polynomial.constant(c)
+            for c in series.coeffs]
+
+
+# -- the argparse command line parser ------------------------------------
+
+
+class ArgumentError(Exception):
+    pass
+
+
+class _Parser(argparse.ArgumentParser):
+    """Raises instead of exiting so a caller can emit one stderr line."""
+
+    def error(self, message):
+        raise ArgumentError(message)
+
+
+def build_parser() -> argparse.ArgumentParser:
+    parser = _Parser(prog="hankelab",
+                     description="exact Hankel determinant workbench")
+    sub = parser.add_subparsers(dest="command", required=True, metavar="command")
+
+    def fmt_option(p):
+        p.add_argument("--format", choices=("csv", "json"), default="csv",
+                       help="output format (default csv)")
+
+    p = sub.add_parser("seq", help="print the first terms of a sequence spec")
+    p.add_argument("spec", help="sequence spec, e.g. 'catalan|double-signed'")
+    p.add_argument("--terms", type=int, required=True, help="how many terms")
+    fmt_option(p)
+    p.set_defaults(handler=_cmd_seq)
+
+    p = sub.add_parser("hankel", help="print a Hankel determinant sequence")
+    p.add_argument("spec")
+    p.add_argument("--n-max", type=int, required=True,
+                   help="largest matrix order to evaluate")
+    p.add_argument("--offset", type=int, choices=(0, 1), default=0,
+                   help="index offset of the matrix entries (default 0)")
+    fmt_option(p)
+    p.set_defaults(handler=_cmd_hankel)
+
+    p = sub.add_parser("fit", help="fit three-term recurrence coefficients")
+    p.add_argument("spec")
+    p.add_argument("--depth", type=int, required=True,
+                   help="number of s coefficients to recover")
+    fmt_option(p)
+    p.set_defaults(handler=_cmd_fit)
+
+    p = sub.add_parser("verify", help="check a formula id against determinants")
+    p.add_argument("id", help="formula id, e.g. thm7.3; see the registry")
+    p.add_argument("--n-max", type=int, default=None,
+                   help="override the documented range")
+    p.add_argument("--r", type=int, default=None,
+                   help="pin the r parameter of parameterized ids")
+    fmt_option(p)
+    p.set_defaults(handler=_cmd_verify)
+
+    p = sub.add_parser("scan", help="walk a conjectured pattern range")
+    p.add_argument("id")
+    p.add_argument("--k-max", type=int, default=None,
+                   help="largest pattern parameter k")
+    p.add_argument("--n-max", type=int, default=None,
+                   help="override the documented range")
+    fmt_option(p)
+    p.set_defaults(handler=_cmd_scan)
+
+    p = sub.add_parser("lgv", help="compare the path-family oracle with the determinant")
+    p.add_argument("--n", type=int, required=True, help="matrix order")
+    fmt_option(p)
+    p.set_defaults(handler=_cmd_lgv)
+
+    return parser

@@ -170,6 +170,16 @@ def test_help_wins_over_later_arguments_and_loses_to_earlier_errors(capsys):
     assert err == "error: argument --terms: invalid int value: 'x'\n"
 
 
+def test_a_short_help_flag_may_repeat_but_takes_no_value(capsys):
+    code, out, err = _capture(capsys, ["seq", "-hh"])
+    assert (code, err) == (0, "") and "--terms TERMS" in out
+    for argv, value in ((["-hhx"], "x"), (["seq", "-h="], ""), (["seq", "-h=hx"], "x"),
+                        (["seq", "--help=h"], "h")):
+        code, out, err = _capture(capsys, argv)
+        assert (code, out) == (2, "")
+        assert err == f"error: argument -h/--help: ignored explicit argument {value!r}\n"
+
+
 @pytest.mark.parametrize(("arg", "found"), [
     ("catalan", ()),
     ("-", ()),
@@ -186,6 +196,9 @@ def test_help_wins_over_later_arguments_and_loses_to_earlier_errors(capsys):
     ("--beta=", ("--beta", "")),
     ("-h", ("-h", None)),
     ("-hx", ("-h", "x")),
+    ("-a b", ()),
+    ("--al b", ()),
+    ("--alpha=a b", ("--alpha", "a b")),
 ])
 def test_an_argument_is_a_flag_an_unknown_option_or_a_value(arg, found):
     assert _lookup(arg, ("-h", "--help", "--alpha", "--beta", "--betty")) == found
@@ -228,15 +241,19 @@ def test_output_is_deterministic(capsys):
 
 
 def test_console_script_matches_run(capsys):
+    # `python -m hankelab` prints what `run` prints and exits with its
+    # code; a usage error is one stderr line and exit code 2.
     src = Path(__file__).resolve().parents[1] / "src"
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [str(src), os.environ.get("PYTHONPATH")])))
-    argv = ["seq", "convpoly:m=3", "--terms", "3"]
-    proc = subprocess.run([sys.executable, "-m", "hankelab", *argv],
-                          capture_output=True, text=True, env=env)
-    code, out, err = _capture(capsys, argv)
-    assert proc.returncode == code == 0
-    assert proc.stdout == out
+    for argv, code in ((["seq", "convpoly:m=3", "--terms", "3"], 0),
+                       (["seq", "catalan", "--terms", "3"], 0),
+                       (["seq", "catalan", "--terms", "x"], 2)):
+        proc = subprocess.run([sys.executable, "-m", "hankelab", *argv],
+                              capture_output=True, text=True, env=env)
+        assert (proc.returncode, proc.stdout, proc.stderr) == _capture(capsys, argv)
+        assert proc.returncode == code
+        assert len(proc.stderr.splitlines()) == (code == 2)
 
 
 def test_main_raises_systemexit():

@@ -150,6 +150,16 @@ COMMANDS = (
         ["verify", "thm5.1", "--n", "3"],
         ["lgv", "--n", "3", "--n", "4"],
     ]
+    # A '--', where this parser and argparse differ: the first ends the
+    # options and is dropped, and a later one or one after '=' is a value.
+    # A spaced argument that names no flag is a value.
+    + [
+        ["seq", "--terms", "2", "--", "catalan"],
+        ["seq", "catalan", "--", "--terms", "2"],
+        ["hankel", "catalan", "--n-max", "2", "--", "--"],
+        ["seq", "catalan", "--terms=--"],
+        ["seq", "-a b", "--terms", "2"],
+    ]
 )
 
 

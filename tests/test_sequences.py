@@ -30,6 +30,7 @@ from hankelab.sequences import (
     terms,
     u_number,
 )
+from oracles import conv_prefix, u_prefix
 
 
 def test_catalan_numbers():
@@ -301,21 +302,67 @@ def test_integrality_invariants_raise_arithmetic_error(monkeypatch):
         catalan_convolution(1, 1)
     with pytest.raises(ArithmeticError, match="internal error"):
         narayana_poly(2)
+    with pytest.raises(ArithmeticError, match="internal error"):
+        conv_poly(2, 3)
+    with pytest.raises(ArithmeticError, match="internal error"):
+        u_number(3, 2)
 
 
-def test_each_prefix_is_built_once(monkeypatch):
-    builds = []
-    series = sequences.narayana_series
-    invert = PowerSeries.invert
-    monkeypatch.setattr(sequences, "narayana_series",
-                        lambda order: builds.append("narayana") or series(order))
-    monkeypatch.setattr(PowerSeries, "invert",
-                        lambda self: builds.append("invert") or invert(self))
-    conv = terms("convpoly:m=5", 20)
-    assert builds == ["narayana"]
-    builds.clear()
-    u = terms("u:r=3", 20)
-    assert builds == ["invert"]
-    monkeypatch.undo()
-    assert conv == [conv_poly(n, 5) for n in range(20)]
-    assert u == [u_number(n, 3) for n in range(20)]
+def test_no_family_term_builds_a_power_series(monkeypatch):
+    # Every family's terms come from closed forms or a walk: none builds a
+    # series, and a lone term costs one term, not a prefix.
+    calls = []
+
+    def record(owner, name):
+        original = getattr(owner, name)
+        monkeypatch.setattr(owner, name,
+                            lambda *args: calls.append(name) or original(*args))
+
+    record(sequences, "narayana_series")
+    for name in ("__init__", "invert", "__pow__", "__mul__"):
+        record(PowerSeries, name)
+    for family, (key, _, _) in sequences._FAMILIES.items():
+        params = [None] if key is None else [1, 2, 3, 6]
+        for spec in [family if p is None else f"{family}:{key}={p}" for p in params]:
+            assert len(terms(spec, 30)) == 30
+    conv_poly(30, 6)
+    u_number(30, 3)
+    assert calls == []
+
+
+def _same(got, want):
+    assert [(type(v), str(v)) for v in got] == [(type(v), str(v)) for v in want]
+    assert got == want
+
+
+ORDER = 40
+
+
+@pytest.mark.parametrize("m", range(1, 9))
+def test_conv_poly_is_a_power_of_the_narayana_series(m):
+    want = conv_prefix(m, ORDER)
+    _same([conv_poly(n, m) for n in range(ORDER)], want)
+    _same(terms(f"convpoly:m={m}", ORDER), want)
+    if m == 1:
+        _same([narayana_poly(n) for n in range(ORDER)], want)
+        _same(terms("narayana", ORDER), want)
+
+
+@pytest.mark.parametrize("r", range(1, 6))
+def test_u_number_is_one_series_inversion(r):
+    want = u_prefix(r, ORDER)
+    _same([u_number(n, r) for n in range(ORDER)], want)
+    _same(terms(f"u:r={r}", ORDER), want)
+
+
+@pytest.mark.parametrize("r", range(1, 6))
+def test_catalan_convolution_is_a_power_of_the_catalan_series(r):
+    want = list((catalan_series(ORDER - 1) ** r).coeffs)
+    _same([catalan_convolution(n, r) for n in range(ORDER)], want)
+    _same(terms(f"catconv:r={r}", ORDER), want)
+
+
+def test_catalan_numbers_are_the_narayana_series_at_one():
+    want = [Fraction(c.evaluate(Fraction(1))) for c in narayana_series(ORDER - 1).coeffs]
+    _same([catalan_number(n) for n in range(ORDER)], want)
+    _same(terms("catalan", ORDER), want)

@@ -138,13 +138,14 @@ EAGER = {"exactnum", "hankel", "sequences"}
     ("cli", (), EAGER),
     ("cli", ("hankel", "catalan", "--n-max", "3"), EAGER),
     ("cli", ("seq", "catalan", "--terms", "3"), EAGER),
+    ("cli", ("seq", "u:r=3", "--terms", "5"), EAGER),
     ("cli", ("fit", "catalan", "--depth", "2"), EAGER | {"orthopoly"}),
     ("cli", ("verify", "thm2.1-d0"), EAGER | {"registry"}),
     ("cli", ("hankel", "narayana", "--n-max", "2"), EAGER | {"ring"}),
     ("cli", ("verify", "thm5.2"), EAGER | {"registry", "lattice", "ring"}),
     ("cli", ("lgv", "--n", "2"), EAGER | {"lattice", "ring"}),
 ], ids=["import hankelab", "hankelab.terms", "hankelab.det_sequence",
-        "import hankelab.cli", "hankel", "seq", "fit", "verify", "hankel polynomial",
+        "import hankelab.cli", "hankel", "seq", "seq u", "fit", "verify", "hankel polynomial",
         "verify polynomial", "lgv"])
 def test_each_command_runs_only_the_layers_it_uses(mode, args, executed):
     states = dict(line.split() for line in _run_isolated(LOAD_PROBE, mode, *args).splitlines())
