@@ -363,6 +363,6 @@ def test_catalan_convolution_is_a_power_of_the_catalan_series(r):
 
 
 def test_catalan_numbers_are_the_narayana_series_at_one():
-    want = [Fraction(c.evaluate(Fraction(1))) for c in narayana_series(ORDER - 1).coeffs]
+    want = [c.evaluate(Fraction(1)) for c in narayana_series(ORDER - 1).coeffs]
     _same([catalan_number(n) for n in range(ORDER)], want)
     _same(terms("catalan", ORDER), want)
