@@ -177,14 +177,13 @@ def _leading_minors(rows) -> list:
         pivot = pivot_row[k]
         out.append(pivot if k >= zero_until else pivot * 0)
         tail = pivot_row[k + 1:]
+        unit = prev == 1
         for row in work[k + 1:]:
             left = row[k]
+            cross = [pivot * a - left * b for a, b in zip(row[k + 1:], tail)]
             # Divisibility by the previous pivot is a theorem of the
             # elimination scheme; a remainder means a bug, not bad input.
-            row[k + 1:] = [
-                exact_divide(pivot * a - left * b, prev)
-                for a, b in zip(row[k + 1:], tail)
-            ]
+            row[k + 1:] = cross if unit else [exact_divide(c, prev) for c in cross]
         prev = pivot
     return out
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from . import lattice, ring
-from .exactnum import PowerSeries, _Frozen, _set, _Value, binomial
+from .exactnum import _Frozen, _set, _Value, binomial
 from .hankel import csv_table, det_sequence, json_table
 from .sequences import (
     catalan_convolution,
@@ -625,6 +625,6 @@ def binomial_sum_series(k: int, order: int) -> tuple:
     truncated at the given order."""
     if k < 0 or order < 0:
         raise ValueError("indices must be >= 0")
-    lhs = PowerSeries([binomial_sum_identity(k, n)[0] for n in range(order + 1)])
+    lhs = ring.PowerSeries([binomial_sum_identity(k, n)[0] for n in range(order + 1)])
     rhs = (catalan_series(order) ** (4 * k + 2)).shift_up(k + 1).truncate(order)
     return lhs, rhs

@@ -15,7 +15,7 @@ from functools import partial
 from itertools import zip_longest
 
 from . import ring
-from .exactnum import PowerSeries, _set, _Value, binomial
+from .exactnum import _set, _Value, binomial
 
 __all__ = [
     "SpecError",
@@ -94,8 +94,8 @@ def catalan_convolution(n: int, r: int) -> Fraction:
     return Fraction(_catalan_power(n, r))
 
 
-def catalan_series(order: int) -> PowerSeries:
-    return PowerSeries([catalan_number(n) for n in range(order + 1)])
+def catalan_series(order: int) -> ring.PowerSeries:
+    return ring.PowerSeries([catalan_number(n) for n in range(order + 1)])
 
 
 def u_number(n: int, r: int) -> Fraction:
@@ -114,7 +114,7 @@ def narayana_b_poly(n: int) -> ring.Polynomial:
     return ring.Polynomial([binomial(n, k) ** 2 for k in range(n + 1)], "t")
 
 
-def narayana_series(order: int) -> PowerSeries:
+def narayana_series(order: int) -> ring.PowerSeries:
     """Generating series of the narayana polynomials, built by the
     quadratic recursion its functional equation gives for the coefficients."""
     zero = ring.Polynomial.zero()
@@ -125,7 +125,7 @@ def narayana_series(order: int) -> PowerSeries:
         for i in range(n):
             square = square + coeffs[i] * coeffs[n - 1 - i]
         coeffs.append(coeffs[n - 1] - t * coeffs[n - 1] + t * square)
-    return PowerSeries(coeffs)
+    return ring.PowerSeries(coeffs)
 
 
 def conv_poly(n: int, m: int) -> ring.Polynomial:

@@ -10,7 +10,7 @@ from fractions import Fraction
 
 import pytest
 
-from hankelab.exactnum import Polynomial
+from hankelab.exactnum import Polynomial, exact_divide
 from hankelab.hankel import (
     _leading_minors,
     _minors,
@@ -165,6 +165,23 @@ def test_singular_matrices_give_zero():
         for det in (det_exact, det_cofactor):
             value = det(rows)
             assert type(value) is Polynomial and value == zero, (det, rows)
+
+
+def test_elimination_never_divides_by_a_unit_pivot(monkeypatch):
+    # Every first step, and each step after a pivot of 1, keeps its cross
+    # products as they are.
+    divisors = []
+
+    def recording(value, divisor):
+        divisors.append(divisor)
+        return exact_divide(value, divisor)
+
+    monkeypatch.setattr("hankelab.hankel.exact_divide", recording)
+    for spec, n_max in (("catalan", 12), ("narayana", 6)):
+        divisors.clear()
+        det_sequence(spec, n_max)
+        assert not any(d == 1 for d in divisors), spec
+    assert divisors  # narayana still divides by its pivots that are not 1
 
 
 def test_bareiss_matches_cofactor_integer_trials():

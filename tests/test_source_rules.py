@@ -4,7 +4,8 @@ the package needs nothing beyond the standard library; importing the
 CLI stays off `dataclasses`, `inspect`, `json` and `argparse`, which
 every command would pay for at start-up; each command runs only the
 layers it uses, and the polynomial ring only when its values are
-polynomials; a layer's first load is safe across threads; the registry
+polynomials; the core that every command compiles holds only scalar
+code; a layer's first load is safe across threads; the registry
 does not import the fit; the public names stay what they are; and the
 names the benchmark tracer wraps stay where it looks for them."""
 
@@ -66,6 +67,14 @@ def test_the_package_does_not_import_dataclasses():
     assert [where for where, name in _imports() if name.partition(".")[0] == "dataclasses"] == []
 
 
+def test_the_core_that_every_command_compiles_holds_only_scalar_code():
+    # Structured values (polynomials, rational functions, power series)
+    # are `ring`'s, which only commands with such values compile.
+    tree = ast.parse((PACKAGE / "exactnum.py").read_text())
+    classes = [node.name for node in ast.walk(tree) if isinstance(node, ast.ClassDef)]
+    assert classes == ["VariableMismatchError", "_Frozen", "_Value"]
+
+
 def test_the_registry_does_not_import_the_fit():
     # The paper's J-fraction references, the registry's one use of
     # `orthopoly`, are test oracles in `tests/oracles.py`.
@@ -106,10 +115,11 @@ def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():
 
 
 # Runs `import hankelab` and then, by MODE, nothing (package), ARGS as
-# names read from the package (read), or `import hankelab.cli` and ARGS
-# as a command (cli); it prints each layer and the ring as executed or
-# deferred.  A deferred module is not a plain module, and `type()` reads
-# no attribute of it, so the probe loads nothing.
+# names read from the package (read), or `import hankelab.cli` and each
+# of ARGS, split at spaces, as a command in turn (cli); it prints each
+# layer and the ring as executed or deferred.  A deferred module is not a
+# plain module, and `type()` reads no attribute of it, so the probe loads
+# nothing.
 LOAD_PROBE = """
 import contextlib, io, sys, types
 src, mode, *args = sys.argv[1:]
@@ -120,10 +130,10 @@ if mode == "read":
         getattr(hankelab, name)
 if mode == "cli":
     import hankelab.cli
-    if args:
+    for command in args:
         with contextlib.redirect_stdout(io.StringIO()):
-            if hankelab.cli.run(args):
-                sys.exit("command failed")
+            if hankelab.cli.run(command.split()):
+                sys.exit("command failed: " + command)
 for name in ("exactnum", "hankel", "lattice", "orthopoly", "registry", "sequences", "ring"):
     module = sys.modules["hankelab." + name]
     print(name, "executed" if type(module) is types.ModuleType else "deferred")
@@ -131,22 +141,44 @@ for name in ("exactnum", "hankel", "lattice", "orthopoly", "registry", "sequence
 EAGER = {"exactnum", "hankel", "sequences"}
 
 
+# The benchmark commands whose values are all rational: the registry ids
+# of `registry-sweep` with a rational spec and every `numeric-elimination`
+# command.  Run in one process, they must leave the ring deferred.
+RATIONAL_COMMANDS = (
+    *(f"verify {formula_id}" for formula_id in (
+        "thm2.1-d0", "thm2.1-d1", "thm2.2-D0", "thm2.2-D1", "thm2.3-d0",
+        "thm2.3-d1", "thm2.4-D0", "thm2.4-D1", "eq3.6", "eq3.7", "eq3.10",
+        "eq3.12", "cor4.3", "eq4.10", "thm5.1", "eq1.22", "eq1.23", "u-d0",
+        "u-d1", "thm7.3", "d-n-5", "d-n-6", "d-n-7", "d-n-8", "conj7.2",
+        "conj7.5")),
+    "hankel catalan --n-max 40",
+    "hankel catalan|double-signed --n-max 32",
+    "hankel catconv:r=5 --n-max 32",
+    "hankel catalan|double-signed|aerate --n-max 32 --offset 1",
+    "hankel u:r=3|double-signed --n-max 24",
+    "fit catalan|double-signed --depth 160",
+)
+
+
 @pytest.mark.parametrize(("mode", "args", "executed"), [
     ("package", (), set()),
     ("read", ("terms",), {"exactnum", "sequences"}),
     ("read", ("det_sequence",), EAGER),
+    ("read", ("PowerSeries",), {"exactnum", "ring"}),
     ("cli", (), EAGER),
-    ("cli", ("hankel", "catalan", "--n-max", "3"), EAGER),
-    ("cli", ("seq", "catalan", "--terms", "3"), EAGER),
-    ("cli", ("seq", "u:r=3", "--terms", "5"), EAGER),
-    ("cli", ("fit", "catalan", "--depth", "2"), EAGER | {"orthopoly"}),
-    ("cli", ("verify", "thm2.1-d0"), EAGER | {"registry"}),
-    ("cli", ("hankel", "narayana", "--n-max", "2"), EAGER | {"ring"}),
-    ("cli", ("verify", "thm5.2"), EAGER | {"registry", "lattice", "ring"}),
-    ("cli", ("lgv", "--n", "2"), EAGER | {"lattice", "ring"}),
+    ("cli", ("hankel catalan --n-max 3",), EAGER),
+    ("cli", ("seq catalan --terms 3",), EAGER),
+    ("cli", ("seq u:r=3 --terms 5",), EAGER),
+    ("cli", ("fit catalan --depth 2",), EAGER | {"orthopoly"}),
+    ("cli", ("verify thm2.1-d0",), EAGER | {"registry"}),
+    ("cli", RATIONAL_COMMANDS, EAGER | {"orthopoly", "registry"}),
+    ("cli", ("hankel narayana --n-max 2",), EAGER | {"ring"}),
+    ("cli", ("verify thm5.2",), EAGER | {"registry", "lattice", "ring"}),
+    ("cli", ("lgv --n 2",), EAGER | {"lattice", "ring"}),
 ], ids=["import hankelab", "hankelab.terms", "hankelab.det_sequence",
-        "import hankelab.cli", "hankel", "seq", "seq u", "fit", "verify", "hankel polynomial",
-        "verify polynomial", "lgv"])
+        "hankelab.PowerSeries", "import hankelab.cli", "hankel", "seq", "seq u", "fit",
+        "verify", "rational benchmark commands", "hankel polynomial", "verify polynomial",
+        "lgv"])
 def test_each_command_runs_only_the_layers_it_uses(mode, args, executed):
     states = dict(line.split() for line in _run_isolated(LOAD_PROBE, mode, *args).splitlines())
     assert states == {name: "executed" if name in executed else "deferred"
@@ -229,11 +261,12 @@ def test_the_public_names_are_pinned_in_order():
 
 def test_exactnum_hands_out_the_ring_names():
     from hankelab import exactnum, ring
-    from hankelab.exactnum import Polynomial, RationalFunction, poly_gcd
+    from hankelab.exactnum import Polynomial, PowerSeries, RationalFunction, poly_gcd
 
-    assert (Polynomial, RationalFunction, poly_gcd) == (
-        ring.Polynomial, ring.RationalFunction, ring.poly_gcd)
-    assert Polynomial.__module__ == RationalFunction.__module__ == "hankelab.ring"
+    assert (Polynomial, RationalFunction, poly_gcd, PowerSeries) == (
+        ring.Polynomial, ring.RationalFunction, ring.poly_gcd, ring.PowerSeries)
+    for cls in (Polynomial, RationalFunction, PowerSeries):
+        assert cls.__module__ == "hankelab.ring"
     with pytest.raises(AttributeError, match="has no attribute 'nosuch'"):
         exactnum.nosuch
 
