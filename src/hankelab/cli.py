@@ -78,11 +78,11 @@ def _cmd_lgv(args) -> int:
     det = det_exact(hankel_matrix("convpoly:m=3", args.n))
     status = "match" if family == det else "mismatch"
     columns = ("n", "lgv", "det", "status")
+    row = (args.n, family, det, status)
     if args.format == "json":
-        row = (args.n, str(family), str(det), status)
         sys.stdout.write(json_table(dict(zip(columns, row))))
     else:
-        sys.stdout.write(csv_table(columns, [(args.n, family, det, status)]))
+        sys.stdout.write(csv_table(columns, [row]))
     return 0 if status == "match" else 1
 
 

@@ -56,16 +56,18 @@ def csv_table(header, rows, *trailer) -> str:
 
 
 def json_table(payload) -> str:
-    """JSON text of a payload whose exact values are already strings."""
+    """JSON text of a payload: ints, text and None as JSON has them, and
+    every exact value (`Fraction`, `Polynomial`, `RationalFunction`) as
+    its `str`.  The package's one call of `json.dumps`."""
     import json  # here, so CSV commands do not import it
 
-    return json.dumps(payload, indent=2) + "\n"
+    return json.dumps(payload, indent=2, default=str) + "\n"
 
 
 def values_text(values, fmt: str) -> str:
     """An indexed value list as `n,value` CSV rows or a JSON list of texts."""
     if fmt == "json":
-        return json_table([str(v) for v in values])
+        return json_table(values)
     return csv_table(("n", "value"), enumerate(values))
 
 
@@ -231,9 +233,15 @@ def _hankel_rows(spec: SequenceSpec, n: int, offset: int) -> list:
 
 def _matrix(matrix, one) -> tuple:
     """Rows and ring unit of a HankelMatrix, or of plain rows with `one`
-    (default Fraction(1)); the rows must be square."""
+    (default Fraction(1)); the rows must be square and every entry exact:
+    an int, `Fraction`, `Polynomial` or `RationalFunction`."""
     if isinstance(matrix, HankelMatrix):
         matrix, one = matrix.rows, _ring_one(matrix.spec)
     if any(len(row) != len(matrix) for row in matrix):
         raise ValueError("matrix must be square")
+    for row in matrix:
+        for a in row:
+            # The scalar test comes first, so rational rows never run `ring`.
+            if not _is_scalar(a) and not isinstance(a, (ring.Polynomial, ring.RationalFunction)):
+                raise TypeError(f"inexact matrix entry: {a!r}")
     return matrix, Fraction(1) if one is None else one

@@ -18,7 +18,7 @@ from fractions import Fraction
 from . import ring
 from .exactnum import _cleared, _Frozen, _is_scalar, _set, exact_divide
 from .hankel import csv_table, det_exact, json_table
-from .sequences import terms
+from .sequences import _seeded, terms
 
 __all__ = [
     "ZeroHankelMinorError",
@@ -69,8 +69,7 @@ class JacobiData(_Frozen):
         return Fraction(1)
 
     def json_text(self) -> str:
-        texts = {"s": [str(v) for v in self.s], "t": [str(v) for v in self.t]}
-        return json_table(texts)
+        return json_table({"s": self.s, "t": self.t})
 
     def csv_text(self) -> str:
         rows = ((k, s, self.t[k] if k < len(self.t) else None)
@@ -284,16 +283,11 @@ def ortho_value(jd: JacobiData, n: int, point):
     """p(n, x) evaluated at a point, straight through the recurrence."""
     if n > jd.depth:
         raise ValueError("recurrence depth does not cover n")
-    older = point * 0 + 1
+    one = point * 0 + 1
     if n == 0:
-        return older
-    current = point - jd.s[0]
-    for k in range(2, n + 1):
-        current, older = (
-            (point - jd.s[k - 1]) * current - jd.t[k - 2] * older,
-            current,
-        )
-    return current
+        return one
+    steps = ((point - jd.s[k - 1], -jd.t[k - 2]) for k in range(2, n + 1))
+    return _seeded(one, point - jd.s[0], n + 1, steps)[n]
 
 
 def det_product_formula(jd: JacobiData, n: int):

@@ -374,11 +374,6 @@ _COLUMNS = ("k", "r", "n", "expected", "got", "status", "note", "reason")
 _OPTIONAL = ("k", "r", "note", "reason")
 
 
-def _json_value(column: str, value):
-    """Exact values are JSON strings; indices, labels and null stay as-is."""
-    return str(value) if column in ("expected", "got") and value is not None else value
-
-
 class Counterexample(_Value):
     """A mismatch that `scan` records instead of treating it as fatal."""
 
@@ -410,12 +405,12 @@ class VerificationReport(_Frozen):
 
     def json_text(self) -> str:
         entries = [
-            {c: _json_value(c, getattr(e, c)) for c in _COLUMNS
+            {c: getattr(e, c) for c in _COLUMNS
              if c not in _OPTIONAL or getattr(e, c) is not None}
             for e in self.entries
         ]
         counterexamples = [
-            {key: _json_value(key, getattr(c, key)) for key in c.__slots__}
+            {key: getattr(c, key) for key in c.__slots__}
             for c in self.counterexamples
         ]
         return json_table({

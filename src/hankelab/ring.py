@@ -375,8 +375,7 @@ def _make(nums: list, den: int, var: str | None) -> Polynomial:
 
 
 def _int_primitive(coeffs):
-    while coeffs and coeffs[-1] == 0:
-        coeffs.pop()
+    """Primitive part, lead > 0, of the trimmed ints of a `Polynomial`."""
     if not coeffs:
         return coeffs
     content = math.gcd(*coeffs)

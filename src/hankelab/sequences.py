@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import partial
-from itertools import zip_longest
+from itertools import repeat, zip_longest
 
 from . import ring
 from .exactnum import _set, _Value, binomial
@@ -139,17 +139,22 @@ def conv_poly(n: int, m: int) -> ring.Polynomial:
     return ring.Polynomial(coeffs, "t")
 
 
-def _seeded(a, b, count: int, x, s) -> list:
-    """w(0..count-1) of w(k) = x w(k-1) + s w(k-2), w(0) = a, w(1) = b."""
+def _seeded(a, b, count: int, steps) -> list:
+    """w(0..count-1) of w(k) = x w(k-1) + s w(k-2), w(0) = a, w(1) = b.
+
+    The one two-term recurrence walker: the (x, s) of k = 2, 3, ... are
+    read in turn from the iterable `steps`, so a recurrence with constant
+    coefficients passes `repeat((x, s))`.
+    """
     out = [a, b][:count]
-    while len(out) < count:
+    for _, (x, s) in zip(range(count - 2), steps):
         out.append(x * out[-1] + s * out[-2])
     return out
 
 
 def _f_prefix(r: int, count: int) -> list[Fraction]:
     """f(0..count-1) for f(0) = r, walked in Python ints."""
-    return [Fraction(v) for v in _seeded(r, 1, count, 1, 1)]
+    return [Fraction(v) for v in _seeded(r, 1, count, repeat((1, 1)))]
 
 
 def fibonacci_number(n: int) -> Fraction:
@@ -162,31 +167,26 @@ def lucas_number(n: int) -> Fraction:
 
 def f_number(n: int, r: int) -> Fraction:
     """Fibonacci-like: f(0) = r, f(1) = 1, then the usual two-term sum."""
-    return Fraction(_seeded(r, 1, n + 1, 1, 1)[n])
+    return Fraction(_seeded(r, 1, n + 1, repeat((1, 1)))[n])
 
 
 def fibonacci_poly(n: int, x, s):
     """F(0) = 0, F(1) = 1, F(n) = x F(n-1) + s F(n-2); any exact ring."""
     zero = x * 0
-    return _seeded(zero, zero + 1, n + 1, x, s)[n]
+    return _seeded(zero, zero + 1, n + 1, repeat((x, s)))[n]
 
 
 def lucas_poly(n: int, x, s):
     """L(0) = 2, L(1) = x, L(n) = x L(n-1) + s L(n-2); any exact ring."""
     zero = x * 0
-    return _seeded(zero + 2, zero + x, n + 1, x, s)[n]
+    return _seeded(zero + 2, zero + x, n + 1, repeat((x, s)))[n]
 
 
 def q_integer(n: int, q):
-    """1 + q + ... + q^(n-1); n must be at least 1."""
+    """[n]_q = 1 + q + ... + q^(n-1) = F(n) at x = 1 + q, s = -q; n >= 1."""
     if n < 1:
         raise ValueError("q_integer needs n >= 1")
-    total = q * 0
-    power = q * 0 + 1
-    for _ in range(n):
-        total = total + power
-        power = power * q
-    return total
+    return fibonacci_poly(n, q + 1, -q)
 
 
 # -- spec string grammar -----------------------------------------------

@@ -160,6 +160,11 @@ COMMANDS = (
         ["seq", "catalan", "--terms=--"],
         ["seq", "-a b", "--terms", "2"],
     ]
+    # The JSON report of every id not pinned in JSON above.
+    + [
+        ["verify", id, "--format", "json"] for id in registry.formula_ids()
+        if id not in ("eq3.6", "thm7.4", "conj7.5", "conj7.2")
+    ]
 )
 
 

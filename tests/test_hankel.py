@@ -10,7 +10,7 @@ from fractions import Fraction
 
 import pytest
 
-from hankelab.exactnum import Polynomial, exact_divide
+from hankelab.exactnum import Polynomial, RationalFunction, exact_divide
 from hankelab.hankel import (
     _leading_minors,
     _minors,
@@ -112,6 +112,26 @@ def test_empty_determinant_is_one():
 def test_determinants_refuse_a_non_square_matrix(det, rows):
     with pytest.raises(ValueError, match="matrix must be square"):
         det(rows)
+
+
+@pytest.mark.parametrize("det", [det_exact, det_cofactor])
+@pytest.mark.parametrize("rows", [
+    [[1e20, 1.0], [1.0, 1.0]],
+    [[0.1, 0.2], [0.3, 0.4]],
+    [[Fraction(1), 2], [3, 4.0]],
+])
+def test_determinants_refuse_an_inexact_entry(det, rows):
+    # A float would give a rounded answer: 1e20 for the first matrix,
+    # whose exact determinant is 99999999999999999999.
+    with pytest.raises(TypeError, match="inexact matrix entry"):
+        det(rows)
+
+
+def test_rational_function_entries_match_cofactor():
+    t = Polynomial.variable_poly("t")
+    rows = [[RationalFunction(1, t + i + j + 1) for j in range(3)] for i in range(3)]
+    value = det_exact(rows)
+    assert type(value) is RationalFunction and value == det_cofactor(rows)
 
 
 def test_two_by_two_integer_example():
@@ -259,6 +279,7 @@ def test_det_sequence_first_value_is_ring_one():
 
 def test_det_sequence_known_values():
     dets = det_sequence("catalan", 5)
+    assert len(dets) == 6
     assert list(dets.values) == [1, 1, 1, 1, 1, 1]
     shifted = det_sequence("catalan", 5, offset=1)
     assert list(shifted.values) == [1, 1, 1, 1, 1, 1]
@@ -289,5 +310,7 @@ def test_table_writers():
     assert text == 'k,s,t\n0,1/2,\n1,"t",x\nverdict,match\n'
     assert csv_table(("n", "value"), []) == "n,value\n"
     assert json_table({"s": [], "n": 2}) == '{\n  "s": [],\n  "n": 2\n}\n'
+    exact = [Fraction(-1, 2), Polynomial.parse("1 + t"), RationalFunction(1, _T), 3, None]
+    assert json_table(exact) == '[\n  "-1/2",\n  "1 + t",\n  "1 / t",\n  3,\n  null\n]\n'
     assert csv_table(("n", "note"), [(1, "sum of 1, 2")]) == 'n,note\n1,"sum of 1, 2"\n'
     assert csv_table(("note",), [('say "x"',), ("a\nb",)]) == 'note\n"say ""x"""\n"a\nb"\n'

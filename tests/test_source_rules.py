@@ -6,8 +6,9 @@ every command would pay for at start-up; each command runs only the
 layers it uses, and the polynomial ring only when its values are
 polynomials; the core that every command compiles holds only scalar
 code; a layer's first load is safe across threads; the registry
-does not import the fit; the public names stay what they are; and the
-names the benchmark tracer wraps stay where it looks for them."""
+does not import the fit; one call writes all JSON; the public names
+stay what they are; and the names the benchmark tracer wraps stay
+where it looks for them."""
 
 from __future__ import annotations
 
@@ -65,6 +66,23 @@ def test_the_package_imports_only_the_standard_library():
 
 def test_the_package_does_not_import_dataclasses():
     assert [where for where, name in _imports() if name.partition(".")[0] == "dataclasses"] == []
+
+
+def test_json_is_written_by_one_call_in_json_table():
+    # The rule that an exact value goes to JSON as its `str` is that one
+    # call's `default=str`.
+    found = [
+        f"{path.name}:{getattr(top, 'name', '')}"
+        for path in SOURCES
+        for top in ast.parse(path.read_text(), str(path)).body
+        for node in ast.walk(top)
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+        and node.func.attr == "dumps"
+    ]
+    assert found == ["hankel.py:json_table"]
+    assert {where.partition(":")[0] for where, name in _imports() if name == "json"} == {
+        "hankel.py"
+    }
 
 
 def test_the_core_that_every_command_compiles_holds_only_scalar_code():
