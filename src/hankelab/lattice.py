@@ -89,8 +89,6 @@ def lgv_bruteforce(n: int) -> ring.Polynomial:
         raise ValueError("order must be >= 0")
     if n > LGV_LIMIT:
         raise ValueError(f"family enumeration is limited to n <= {LGV_LIMIT}")
-    if n == 0:
-        return ring.Polynomial.one()
     x_base = -2 * (n - 1)
     stride = 2 * n + 1
     atoms = [

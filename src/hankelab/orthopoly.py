@@ -132,25 +132,25 @@ def _fit_field(moments: list, depth: int):
     """Chebyshev's moment algorithm over a field.
 
     sigma[k][l] is the functional applied to p(k, x) * x^l; row k only
-    needs l = k .. width-1-k, stored with its natural l index.
+    needs l = k .. width-1-k, stored with its natural l index.  Row k
+    reads rows k-1 and k-2 alone, so only those two are kept.
     """
     width = 2 * depth
-    sigma = [moments]
+    older, prev = None, moments
     s = [moments[1] / moments[0]]
     t: list = []
     for k in range(1, depth):
-        prev = sigma[k - 1]
         row = [None] * (width - k)
         for l in range(k, width - k):
             value = prev[l + 1] - s[k - 1] * prev[l]
             if k >= 2:
-                value = value - t[k - 2] * sigma[k - 2][l]
+                value = value - t[k - 2] * older[l]
             row[l] = value
-        sigma.append(row)
         if not row[k]:
             raise ZeroHankelMinorError(k + 1)
         t.append(row[k] / prev[k - 1])
         s.append(row[k + 1] / row[k] - prev[k] / prev[k - 1])
+        older, prev = prev, row
     return s, t
 
 
@@ -212,14 +212,12 @@ def _moment_rows(rows: int, s, t, horizon: int | None = None):
             top = n if horizon is None else min(n, horizon - 1 - n)
             row = []
             for j in range(top + 1):
-                value = above[j - 1] if j else None
+                value = above[j - 1] if j else Fraction(0)
                 if s is not None and j < len(above):
-                    part = s[j] * above[j]
-                    value = part if value is None else value + part
+                    value = value + s[j] * above[j]
                 if j + 1 < len(above):
-                    part = t[j] * above[j + 1]
-                    value = part if value is None else value + part
-                row.append(Fraction(0) if value is None else value)
+                    value = value + t[j] * above[j + 1]
+                row.append(value)
             above = row
         yield above
 
@@ -263,14 +261,9 @@ def aeration_collapse(weights) -> JacobiData:
     s(0) = T(0), s(n) = T(2n-1) + T(2n), t(n) = T(2n) T(2n+1).
     """
     weights = list(weights)
-    if not weights:
-        return JacobiData((), ())
-    s = [weights[0]]
-    for n in range(1, (len(weights) - 1) // 2 + 1):
-        s.append(weights[2 * n - 1] + weights[2 * n])
-    t = []
-    for n in range((len(weights) - 1) // 2):
-        t.append(weights[2 * n] * weights[2 * n + 1])
+    pairs = (len(weights) - 1) // 2
+    s = weights[:1] + [weights[2 * n - 1] + weights[2 * n] for n in range(1, pairs + 1)]
+    t = [weights[2 * n] * weights[2 * n + 1] for n in range(pairs)]
     return JacobiData(tuple(s), tuple(t))
 
 
@@ -294,14 +287,11 @@ def det_product_formula(jd: JacobiData, n: int):
     """Hankel determinant of order n as the product of t-powers.
 
     det(a(i+j)) over i, j < n equals the product of t(j)^(n-1-j) for
-    j = 0 .. n-2; orders 0 and 1 give 1.
+    j = 0 .. n-2; orders 0 and 1 give 1, the empty product.
     """
-    one = jd.one()
-    if n <= 1:
-        return one
     if len(jd.t) < n - 1:
         raise ValueError("recurrence depth does not cover n")
-    value = one
+    value = jd.one()
     for j in range(n - 1):
         value = value * jd.t[j] ** (n - 1 - j)
     return value
@@ -318,11 +308,8 @@ def moment_functional(moments, poly: ring.Polynomial):
     """Apply the functional x^e -> moments[e] to a polynomial termwise."""
     if poly.degree >= len(moments):
         raise ValueError("not enough moments for this degree")
-    total = None
-    for e in range(poly.degree + 1):
-        part = poly.coefficient(e) * moments[e]
-        total = part if total is None else total + part
-    return total if total is not None else Fraction(0)
+    parts = (poly.coefficient(e) * moments[e] for e in range(poly.degree + 1))
+    return sum(parts, Fraction(0))
 
 
 class PencilCheck(_Frozen):

@@ -337,3 +337,65 @@ def test_exact_divide_dispatch():
     assert quot == -2 and type(quot) is int
     with pytest.raises(ArithmeticError):
         exact_divide(7, 2)
+
+
+def test_power_series_zero():
+    zero = PowerSeries.zero(3)
+    assert zero.order == 3
+    assert zero.coeffs == (Fraction(0),) * 4
+    assert zero == PowerSeries([1, 2, 3, 4]) * 0
+
+
+_T = Polynomial.variable_poly("t")
+
+
+@pytest.mark.parametrize(("value", "text"), [
+    (Polynomial.parse("1 - 2*t^2"), "Polynomial('1 - 2*t^2')"),
+    (RationalFunction(1, 1 + _T), "RationalFunction('1 / (1 + t)')"),
+    (PowerSeries([1, Fraction(1, 2), _T]), "PowerSeries([1, 1/2, t] order=2)"),
+    (PowerSeries(range(8)), "PowerSeries([0, 1, 2, 3, 4, 5, ...] order=7)"),
+])
+def test_repr_shows_the_type_and_the_text(value, text):
+    assert repr(value) == text
+
+
+@pytest.mark.parametrize(("a", "b", "gcd"), [
+    (6, Polynomial.parse("2 + 2*t"), "1"),
+    (Polynomial.parse("2 + 2*t"), Fraction(0), "1 + t"),
+    (0, 0, "0"),
+])
+def test_poly_gcd_takes_a_scalar_argument(a, b, gcd):
+    assert str(poly_gcd(a, b)) == gcd
+
+
+def test_rational_function_equals_a_constant_polynomial_holding_it():
+    value = RationalFunction(1, 1 + _T)
+    assert value == Polynomial((value,))
+    assert value != Polynomial((value + 1,))
+
+
+# A foreign operand is refused, not absorbed: each operator returns
+# NotImplemented, so Python raises TypeError or compares by identity.
+_FOREIGN = "x"
+
+
+@pytest.mark.parametrize("op", [
+    lambda: Polynomial.one() + _FOREIGN,
+    lambda: Polynomial.one() - _FOREIGN,
+    lambda: _FOREIGN - Polynomial.one(),
+    lambda: RationalFunction(_T) - _FOREIGN,
+    lambda: _FOREIGN - RationalFunction(_T),
+    lambda: RationalFunction(_T) / _FOREIGN,
+    lambda: _FOREIGN / RationalFunction(_T),
+    lambda: PowerSeries.one(2) + 1,
+    lambda: PowerSeries.one(2) - 1,
+    lambda: PowerSeries.one(2) * _FOREIGN,
+])
+def test_a_foreign_operand_raises_type_error(op):
+    with pytest.raises(TypeError):
+        op()
+
+
+@pytest.mark.parametrize("value", [RationalFunction(_T), PowerSeries.one(2)])
+def test_a_foreign_operand_compares_unequal(value):
+    assert value != _FOREIGN

@@ -70,6 +70,19 @@ def test_lgv_bruteforce_small_orders():
     assert lgv_bruteforce(2) == Polynomial.parse("-1 + t")
 
 
+@pytest.mark.parametrize(("n", "nums", "den", "var"), [
+    (0, (1,), 1, None),
+    (1, (1,), 1, None),
+    (2, (-1, 1), 1, "t"),
+    (3, (0, 0, -2, 1), 1, "t"),
+    (4, (0, 0, 0, 0, 1, -3, 1), 1, "t"),
+])
+def test_lgv_bruteforce_layout(n, nums, den, var):
+    # Orders 0 and 1 are the constant 1, with no variable.
+    value = lgv_bruteforce(n)
+    assert (value.nums, value.den, value.var) == (nums, den, var)
+
+
 def test_lgv_bruteforce_matches_determinant():
     for n in range(LGV_LIMIT + 1):
         det = det_exact(hankel_matrix("convpoly:m=3", n))

@@ -143,6 +143,12 @@ def test_triangle_column_zero_recovers_moments():
         assert list(tri.column0()) == terms(spec, 8)
 
 
+def test_triangle_row_is_the_stored_tuple():
+    tri = triangle(fit_spec("catalan", 3), 4)
+    assert tri.row(3) == (5, 9, 5, 1)
+    assert [tri.row(n) for n in range(4)] == list(tri.rows)
+
+
 def test_triangle_needs_enough_coefficients():
     data = fit_spec("catalan", 3)
     with pytest.raises(ValueError):
@@ -252,6 +258,121 @@ def test_aeration_collapse_matches_direct_fit():
         direct = fit_spec(spec, 4)
         assert list(collapsed.s) == list(direct.s)[: len(collapsed.s)]
         assert list(collapsed.t) == list(direct.t)[: len(collapsed.t)]
+
+
+# Edge cases pinned by type as well as value: a value shows as
+# "<kind>:<str>" with Z int, Q Fraction, P Polynomial, R RationalFunction.
+_KIND = {int: "Z", Fraction: "Q", Polynomial: "P", RationalFunction: "R"}
+
+
+def _shown(values) -> list:
+    return [f"{_KIND[type(v)]}:{v}" for v in values]
+
+
+_T = Polynomial.variable_poly("t")
+
+
+@pytest.mark.parametrize(("weights", "s", "t"), [
+    ([], [], []),
+    ([1], ["Z:1"], []),
+    ([_T, _T], ["P:t"], []),
+    ([1, 2, 3, 4, 5], ["Z:1", "Z:5", "Z:9"], ["Z:2", "Z:12"]),
+    ([RationalFunction(1, 1 + _T)] * 3,
+     ["R:1 / (1 + t)", "R:2 / (1 + t)"], ["R:1 / (1 + 2*t + t^2)"]),
+])
+def test_aeration_collapse_edge_cases(weights, s, t):
+    data = aeration_collapse(weights)
+    assert (_shown(data.s), _shown(data.t)) == (s, t)
+
+
+@pytest.mark.parametrize(("spec", "dets", "rows"), [
+    ("catalan", ["Q:1"] * 6, [
+        ["Q:1"],
+        ["Q:1", "Q:1"],
+        ["Q:2", "Q:3", "Q:1"],
+        ["Q:5", "Q:9", "Q:5", "Q:1"],
+        ["Q:14", "Q:28", "Q:20", "Q:7", "Q:1"],
+    ]),
+    ("catalan|double-signed", ["Q:1", "Q:1", "Q:1", "Q:-2", "Q:-3", "Q:5"], [
+        ["Q:1"],
+        ["Q:-1", "Q:1"],
+        ["Q:-1", "Q:-1/2", "Q:1"],
+        ["Q:2", "Q:-2", "Q:-2/3", "Q:1"],
+        ["Q:2", "Q:3/2", "Q:-3", "Q:-3/5", "Q:1"],
+    ]),
+    ("narayana", ["R:1", "R:1", "R:1", "R:t", "R:t^3", "R:t^6"], [
+        ["Q:1"],
+        ["R:1", "Q:1"],
+        ["R:1 + t", "R:2 + t", "Q:1"],
+        ["R:1 + 3*t + t^2", "R:3 + 5*t + t^2", "R:3 + 2*t", "Q:1"],
+        ["R:1 + 6*t + 6*t^2 + t^3", "R:4 + 14*t + 9*t^2 + t^3",
+         "R:6 + 11*t + 3*t^2", "R:4 + 3*t", "Q:1"],
+    ]),
+    ("narayana-b", ["R:1", "R:1", "R:1", "R:2*t", "R:4*t^3", "R:8*t^6"], [
+        ["Q:1"],
+        ["R:1 + t", "Q:1"],
+        ["R:1 + 4*t + t^2", "R:2 + 2*t", "Q:1"],
+        ["R:1 + 9*t + 9*t^2 + t^3", "R:3 + 9*t + 3*t^2", "R:3 + 3*t", "Q:1"],
+        ["R:1 + 16*t + 36*t^2 + 16*t^3 + t^4", "R:4 + 24*t + 24*t^2 + 4*t^3",
+         "R:6 + 16*t + 6*t^2", "R:4 + 4*t", "Q:1"],
+    ]),
+    ("convpoly:m=4", ["R:1", "R:1", "R:1", "R:-1 - t^2", "R:-t^2 - t^4",
+                      "R:t^4 + t^6 + t^8"], [
+        ["Q:1"],
+        ["R:2 + 2*t", "Q:1"],
+        ["R:3 + 8*t + 3*t^2", "R:2 + 2*t", "Q:1"],
+        ["R:4 + 20*t + 20*t^2 + 4*t^3",
+         "R:(3 + 8*t + 5*t^2 + 8*t^3 + 3*t^4) / (1 + t^2)", "R:4 + 4*t", "Q:1"],
+        ["R:5 + 40*t + 75*t^2 + 40*t^3 + 5*t^4",
+         "R:(4 + 20*t + 20*t^2 + 20*t^3 + 20*t^4 + 4*t^5) / (1 + t^2)",
+         "R:10 + 24*t + 10*t^2", "R:4 + 4*t", "Q:1"],
+    ]),
+])
+def test_fitted_recurrence_edge_values(spec, dets, rows):
+    # det_product_formula at n = -1..4, the depth-4 triangle and the
+    # eight moments that depth determines: a(0) is the seed Fraction 1,
+    # the rest share the fit's kind and equal the spec's terms.
+    data = fit_spec(spec, 4)
+    assert _shown(det_product_formula(data, n) for n in range(-1, 5)) == dets
+    assert [_shown(row) for row in triangle(data, 5).rows] == rows
+    kind = dets[0][0]  # Q for a rational fit, R for a polynomial one
+    want = ["Q:1"] + [f"{kind}:{a}" for a in terms(spec, 8)[1:]]
+    assert _shown(moments_from_recurrence(data, 8)) == want
+
+
+@pytest.mark.parametrize(("weights", "rows"), [
+    ([1, 2, 3, 4], [
+        ["Q:1"], ["Q:0", "Q:1"], ["Q:1", "Q:0", "Q:1"],
+        ["Q:0", "Q:3", "Q:0", "Q:1"], ["Q:3", "Q:0", "Q:6", "Q:0", "Q:1"],
+    ]),
+    ([Fraction(1, 2)] * 4, [
+        ["Q:1"], ["Q:0", "Q:1"], ["Q:1/2", "Q:0", "Q:1"],
+        ["Q:0", "Q:1", "Q:0", "Q:1"], ["Q:1/2", "Q:0", "Q:3/2", "Q:0", "Q:1"],
+    ]),
+    ([_T, _T + 1, _T, 1], [
+        ["Q:1"], ["Q:0", "Q:1"], ["P:t", "Q:0", "Q:1"],
+        ["P:0", "P:1 + 2*t", "Q:0", "Q:1"],
+        ["P:t + 2*t^2", "P:0", "P:1 + 3*t", "Q:0", "Q:1"],
+    ]),
+    ([RationalFunction(1, 1 + _T)] * 4, [
+        ["Q:1"], ["Q:0", "Q:1"], ["R:1 / (1 + t)", "Q:0", "Q:1"],
+        ["R:0", "R:2 / (1 + t)", "Q:0", "Q:1"],
+        ["R:2 / (1 + 2*t + t^2)", "R:0", "R:3 / (1 + t)", "Q:0", "Q:1"],
+    ]),
+])
+def test_aerated_triangle_edge_values(weights, rows):
+    assert [_shown(row) for row in aerated_triangle(weights, 5).rows] == rows
+
+
+@pytest.mark.parametrize(("moments", "poly", "want"), [
+    ([1], Polynomial.zero(), "Q:0"),
+    ([1, 2, 3], Polynomial.parse("1 + t^2"), "Q:4"),
+    ([1, _T, _T * _T], _T * _T + 2, "P:2 + t^2"),
+    ([RationalFunction(1), RationalFunction(_T, 1 + _T)], 3 * _T + 1,
+     "R:(1 + 4*t) / (1 + t)"),
+])
+def test_moment_functional_edge_values(moments, poly, want):
+    assert _shown([moment_functional(moments, poly)]) == [want]
 
 
 def test_aerated_polynomials_fibonacci_form():

@@ -1,8 +1,9 @@
 """Rules on the package source itself: invariants are real exceptions,
 so they still hold under `python -O`, which strips `assert` statements;
-the package needs nothing beyond the standard library; importing the
-CLI stays off `dataclasses`, `inspect`, `json` and `argparse`, which
-every command would pay for at start-up; each command runs only the
+the package needs nothing beyond the standard library and parses as
+Python 3.10, its stated floor; importing the CLI stays off
+`dataclasses`, `inspect`, `json` and `argparse`, which every command
+would pay for at start-up; each command runs only the
 layers it uses, and the polynomial ring only when its values are
 polynomials; the core that every command compiles holds only scalar
 code; a layer's first load is safe across threads; the registry
@@ -66,6 +67,18 @@ def test_the_package_imports_only_the_standard_library():
 
 def test_the_package_does_not_import_dataclasses():
     assert [where for where, name in _imports() if name.partition(".")[0] == "dataclasses"] == []
+
+
+def test_the_package_parses_as_python_3_10():
+    # README and pyproject state a 3.10 floor; the suite runs on a later
+    # Python, so newer syntax (`except*`, say) would otherwise pass here.
+    found = []
+    for path in SOURCES:
+        try:
+            ast.parse(path.read_text(), str(path), feature_version=(3, 10))
+        except SyntaxError as error:
+            found.append(f"{path.name}:{error.lineno}: {error.msg}")
+    assert found == []
 
 
 def test_json_is_written_by_one_call_in_json_table():
