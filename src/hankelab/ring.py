@@ -46,20 +46,14 @@ def _power(base, exponent: int):
         base = base * base
 
 
-# Subtraction, shared by Polynomial and RationalFunction: each brings
-# `_wrap_other` for the other operand and `_minus` for the difference.
-def _sub(self, other):
-    rhs = self._wrap_other(other)
-    if rhs is None:
-        return NotImplemented
-    return self._minus(rhs)
-
-
-def _rsub(self, other):
-    rhs = self._wrap_other(other)
-    if rhs is None:
-        return NotImplemented
-    return rhs._minus(self)
+def _coerced(op):
+    """The binary operator op(self, rhs), `rhs` being the other operand made
+    this class by `self._wrap_other`.  An operand it will not take gives
+    NotImplemented, so Python reflects the operator or raises TypeError."""
+    def coerced(self, other):
+        rhs = self._wrap_other(other)
+        return NotImplemented if rhs is None else op(self, rhs)
+    return coerced
 
 
 class Polynomial:
@@ -211,10 +205,8 @@ class Polynomial:
             return Polynomial((other,))
         return None
 
-    def __add__(self, other):
-        rhs = self._wrap_other(other)
-        if rhs is None:
-            return NotImplemented
+    @_coerced
+    def __add__(self, rhs):
         var = self._join(self.var, rhs.var)
         a, b, den = _aligned(self, rhs)
         if len(a) < len(b):
@@ -235,13 +227,11 @@ class Polynomial:
         out += a[len(b):] if len(a) > len(b) else [-y for y in b[len(a):]]
         return _make(out, den, var)
 
-    __sub__ = _sub
-    __rsub__ = _rsub
+    __sub__ = _coerced(_minus)
+    __rsub__ = _coerced(lambda self, rhs: rhs._minus(self))
 
-    def __mul__(self, other):
-        rhs = self._wrap_other(other)
-        if rhs is None:
-            return NotImplemented
+    @_coerced
+    def __mul__(self, rhs):
         var = self._join(self.var, rhs.var)
         a, b = self.nums, rhs.nums
         out = [0] * (len(a) + len(b) - 1)
@@ -264,9 +254,9 @@ class Polynomial:
             return Polynomial.one()
         return _power(self, exponent)
 
-    def __divmod__(self, other):
-        rhs = self._wrap_other(other)
-        if rhs is None or not rhs:
+    @_coerced
+    def __divmod__(self, rhs):
+        if not rhs:
             raise ZeroDivisionError("polynomial division by zero")
         var = self._join(self.var, rhs.var)
         # Over a common denominator D, a/b leaves the quotient of D*a by D*b
@@ -489,10 +479,8 @@ class RationalFunction:
             return other
         return None
 
-    def __add__(self, other):
-        rhs = self._wrap_other(other)
-        if rhs is None:
-            return NotImplemented
+    @_coerced
+    def __add__(self, rhs):
         return RationalFunction(
             self.num * rhs.den + rhs.num * self.den, self.den * rhs.den
         )
@@ -511,30 +499,22 @@ class RationalFunction:
             self.num * rhs.den - rhs.num * self.den, self.den * rhs.den
         )
 
-    __sub__ = _sub
-    __rsub__ = _rsub
+    __sub__ = _coerced(_minus)
+    __rsub__ = _coerced(lambda self, rhs: rhs._minus(self))
 
-    def __mul__(self, other):
-        rhs = self._wrap_other(other)
-        if rhs is None:
-            return NotImplemented
+    @_coerced
+    def __mul__(self, rhs):
         return RationalFunction(self.num * rhs.num, self.den * rhs.den)
 
     __rmul__ = __mul__
 
-    def __truediv__(self, other):
-        rhs = self._wrap_other(other)
-        if rhs is None:
-            return NotImplemented
+    @_coerced
+    def __truediv__(self, rhs):
         if not rhs.num:
             raise ZeroDivisionError("rational function division by zero")
         return RationalFunction(self.num * rhs.den, self.den * rhs.num)
 
-    def __rtruediv__(self, other):
-        rhs = self._wrap_other(other)
-        if rhs is None:
-            return NotImplemented
-        return rhs / self
+    __rtruediv__ = _coerced(lambda self, rhs: rhs / self)
 
     def __pow__(self, exponent: int):
         if not isinstance(exponent, int):
@@ -622,16 +602,17 @@ class PowerSeries:
             raise ValueError(f"cannot extend order {self.order} series to {order}")
         return PowerSeries(self.coeffs[: order + 1])
 
-    # zip stops at the shorter operand, which is the truncation.
-    def __add__(self, other):
-        if not isinstance(other, PowerSeries):
-            return NotImplemented
-        return PowerSeries([x + y for x, y in zip(self.coeffs, other.coeffs)])
+    def _wrap_other(self, other):
+        return other if isinstance(other, PowerSeries) else None
 
-    def __sub__(self, other):
-        if not isinstance(other, PowerSeries):
-            return NotImplemented
-        return PowerSeries([x - y for x, y in zip(self.coeffs, other.coeffs)])
+    # zip stops at the shorter operand, which is the truncation.
+    @_coerced
+    def __add__(self, rhs):
+        return PowerSeries([x + y for x, y in zip(self.coeffs, rhs.coeffs)])
+
+    @_coerced
+    def __sub__(self, rhs):
+        return PowerSeries([x - y for x, y in zip(self.coeffs, rhs.coeffs)])
 
     def __mul__(self, other):
         if not isinstance(other, PowerSeries):
@@ -698,11 +679,10 @@ class PowerSeries:
             power = power * scale
         return PowerSeries(out)
 
-    def __eq__(self, other):
-        if not isinstance(other, PowerSeries):
-            return NotImplemented
-        n = min(self.order, other.order)
-        return all(self.coeffs[i] == other.coeffs[i] for i in range(n + 1))
+    @_coerced
+    def __eq__(self, rhs):
+        n = min(self.order, rhs.order)
+        return all(self.coeffs[i] == rhs.coeffs[i] for i in range(n + 1))
 
     def __repr__(self) -> str:
         head = ", ".join(str(c) for c in self.coeffs[:6])

@@ -390,9 +390,27 @@ _FOREIGN = "x"
     lambda: PowerSeries.one(2) + 1,
     lambda: PowerSeries.one(2) - 1,
     lambda: PowerSeries.one(2) * _FOREIGN,
+    lambda: divmod(_T, _FOREIGN),
+    lambda: divmod(_T, 1.5),
+    lambda: divmod(_T, RationalFunction(_T)),
+    lambda: _T.exact_div(_FOREIGN),
+    lambda: exact_divide(_T, 1.5),
+    lambda: _T * _FOREIGN,
+    lambda: RationalFunction(_T) + _FOREIGN,
+    lambda: RationalFunction(_T) * _FOREIGN,
 ])
 def test_a_foreign_operand_raises_type_error(op):
     with pytest.raises(TypeError):
+        op()
+
+
+@pytest.mark.parametrize("op", [
+    lambda: divmod(_T, 0),
+    lambda: divmod(_T, Polynomial.zero()),
+    lambda: _T.exact_div(0),
+])
+def test_only_a_zero_divisor_raises_zero_division_error(op):
+    with pytest.raises(ZeroDivisionError, match="polynomial division by zero"):
         op()
 
 

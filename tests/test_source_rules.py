@@ -7,7 +7,8 @@ would pay for at start-up; each command runs only the
 layers it uses, and the polynomial ring only when its values are
 polynomials; the core that every command compiles holds only scalar
 code; a layer's first load is safe across threads; the registry
-does not import the fit; one call writes all JSON; the public names
+does not import the fit; one call writes all JSON; one decorator
+holds the ring's operand rule; the public names
 stay what they are; and the names the benchmark tracer wraps stay
 where it looks for them."""
 
@@ -96,6 +97,37 @@ def test_json_is_written_by_one_call_in_json_table():
     assert {where.partition(":")[0] for where, name in _imports() if name == "json"} == {
         "hankel.py"
     }
+
+
+COERCED_OPERATORS = {
+    "Polynomial": ("__add__", "__sub__", "__rsub__", "__mul__", "__divmod__"),
+    "RationalFunction": ("__add__", "__sub__", "__rsub__", "__mul__",
+                         "__truediv__", "__rtruediv__"),
+    "PowerSeries": ("__add__", "__sub__", "__eq__"),
+}
+
+
+def test_the_operand_rule_is_written_once_in_ring_coerced():
+    # Each binary operator of the ring takes its other operand through
+    # `_coerced`, the one caller of `_wrap_other`.  It copies no
+    # `__wrapped__`, which the benchmark tracer uses to mark its own wrappers.
+    found = [
+        f"{path.name}:{getattr(top, 'name', '')}"
+        for path in SOURCES
+        for top in ast.parse(path.read_text(), str(path)).body
+        for node in ast.walk(top)
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+        and node.func.attr == "_wrap_other"
+    ]
+    assert found == ["ring.py:_coerced"]
+    ring = importlib.import_module("hankelab.ring")
+    for cname, coerced in COERCED_OPERATORS.items():
+        operators = {name: fn for name, fn in vars(getattr(ring, cname)).items()
+                     if name.startswith("__") and callable(fn)}
+        assert [name for name, fn in operators.items() if hasattr(fn, "__wrapped__")] == []
+        assert {operators[name].__qualname__ for name in coerced} == {
+            "_coerced.<locals>.coerced"
+        }
 
 
 def test_the_core_that_every_command_compiles_holds_only_scalar_code():
