@@ -3,11 +3,11 @@
 The matrix for a sequence a and offset m has entry(i, j) = a(i + j + m).
 Determinants are computed fraction-free so every intermediate stays in the
 ring the entries come from (integers, `Fraction` or `Polynomial`).
-One elimination kernel, `_leading_minors`, gives every determinant:
-`det_sequence` reads all leading minors off one pass and `det_exact` the
-last one.  `det_cofactor` (cofactor expansion, no division) is the
-independent oracle; the tests keep a Bareiss elimination with row
-exchanges as a second one.
+`det_sequence` reads D_1..D_n off the pivots of Chebyshev's moment rows,
+`_chebyshev_rows`, which the fit reads too; past a vanishing minor, and
+in `det_exact`, one elimination pass, `_leading_minors`, gives them.
+`det_cofactor` (cofactor expansion, no division) is the independent
+oracle; the tests keep Bareiss elimination and determinants mod p too.
 """
 
 from __future__ import annotations
@@ -123,10 +123,9 @@ def det_exact(matrix, one=None):
 
     Accepts a HankelMatrix or a plain list of rows.  `one` only names the
     value of the empty matrix; it is inferred from a HankelMatrix.  A
-    singular matrix gives the zero of its entries' ring.
-    The value is the last leading minor of the same elimination that
-    `det_sequence` runs: its look-ahead adds a row i < n to a row above,
-    which keeps every minor of order above i, so D_n is the determinant.
+    singular matrix gives the zero of its entries' ring.  The value is
+    D_n of `_leading_minors`, whose look-ahead adds a row i < n to a row
+    above, which keeps every minor of order above i.
     """
     rows, one = _matrix(matrix, one)
     return _minors(rows)[-1] if rows else one
@@ -190,6 +189,36 @@ def _leading_minors(rows) -> list:
     return out
 
 
+def _chebyshev_rows(moments):
+    """Fraction-free rows tau[0] (the moments), tau[1], ... of Chebyshev's
+    moment algorithm, through the first whose pivot tau[k][k] is 0.
+
+    Row k holds the bordered Hankel minors tau[k][l] at their own index
+    l = k .. len(moments)-1-k, and its pivot is D_(k+1); tau[-1] is zero.
+    With A = D_k, C = D_(k-1), D_0 = 1, B = tau[k-1][k], E = tau[k-2][k-1]:
+
+        tau[k][l] = (A*C*tau[k-1][l+1] - (B*C - E*A)*tau[k-1][l]
+                     - A**2*tau[k-2][l]) / C**2
+
+    The division is exact, and skipped when C**2 is 1, as in elimination;
+    ints and `Polynomial`s run the same code.
+    """
+    width = len(moments)
+    older, row, c = [0] * width, moments, 1
+    for k in range((width + 1) // 2):
+        if k:
+            a, b, e = row[k - 1], row[k], older[k - 1]
+            step, shift, drop, csq = a * c, b * c - e * a, a * a, c * c
+            new = [0] * (width - k)
+            for l in range(k, width - k):
+                value = step * row[l + 1] - shift * row[l] - drop * older[l]
+                new[l] = value if csq == 1 else exact_divide(value, csq)
+            older, row, c = row, new, a
+        yield row
+        if not row[k]:
+            return
+
+
 def _minors(rows) -> list:
     """Leading principal minors D_1..D_n of a square matrix.
 
@@ -211,15 +240,20 @@ def _minors(rows) -> list:
 
 
 def det_sequence(spec, n_max: int, offset: int = 0) -> DetSequence:
-    """Determinants of all leading orders 0..n_max at one offset.
-
-    All orders come from one elimination of the order-n_max matrix;
-    rational entries are eliminated as Python ints (see `_minors`).
-    """
+    """Determinants of all leading orders 0..n_max at one offset: the
+    pivots of `_chebyshev_rows` on a(offset .. offset+2*n_max-2), rational
+    ones cleared to ints as in `_minors`; past a vanishing minor, `_minors`."""
     spec = parse_spec(spec)
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
-    minors = _minors(_hankel_rows(spec, n_max, offset))
+    rows = _hankel_rows(spec, n_max, offset)
+    moments = [*rows[0], *(row[-1] for row in rows[1:])] if rows else []
+    (ints,), scale = _cleared(moments)
+    minors = [row[k] for k, row in enumerate(_chebyshev_rows(ints))]
+    if not all(minors):
+        minors = _minors(rows)
+    elif spec.kind != POLYNOMIAL:
+        minors = [Fraction(d, scale**n) for n, d in enumerate(minors, 1)]
     return DetSequence(spec, offset, (_ring_one(spec), *minors))
 
 

@@ -16,8 +16,8 @@ from __future__ import annotations
 from fractions import Fraction
 
 from . import ring
-from .exactnum import _cleared, _Frozen, _is_scalar, _set, exact_divide
-from .hankel import csv_table, det_exact, json_table
+from .exactnum import _cleared, _Frozen, _is_scalar, _set
+from .hankel import _chebyshev_rows, csv_table, det_exact, json_table
 from .sequences import _seeded, terms
 
 __all__ = [
@@ -107,9 +107,9 @@ def fit_recurrence(moments, depth: int) -> JacobiData:
     naming the order of the first vanishing minor when no fit exists.
 
     Rational moments are cleared to integers by one common denominator
-    and fitted on integer bordered Hankel minors (`_fit_integers`);
-    `Fraction`s are built only for s and t.  Polynomial moments are
-    fitted over the rational-function field (`_fit_field`).
+    and fitted on the integer rows of `hankel._chebyshev_rows`
+    (`_fit_integers`); `Fraction`s are built only for s and t.
+    Polynomial moments are fitted over the rational-function field.
     """
     if depth < 0:
         raise ValueError("depth must be >= 0")
@@ -117,12 +117,10 @@ def fit_recurrence(moments, depth: int) -> JacobiData:
         raise ValueError(f"need {max(2 * depth, 1)} moments, got {len(moments)}")
     if moments[0] != 1:
         raise ValueError("fitting needs a leading moment equal to 1")
-    if depth == 0:
-        return JacobiData((), ())
     head = list(moments[: 2 * depth])
     if all(map(_is_scalar, head)):
         (ints,), _ = _cleared(head)
-        s, t = _fit_integers(ints, depth)
+        s, t = _fit_integers(ints)
     else:
         s, t = _fit_field(_lift(head), depth)
     return JacobiData(tuple(s), tuple(t))
@@ -154,39 +152,21 @@ def _fit_field(moments: list, depth: int):
     return s, t
 
 
-def _fit_integers(moments: list, depth: int):
-    """Chebyshev's moment algorithm on integer moments, fraction-free.
-
-    tau[k][l] = D_k * sigma[k][l], where D_k = tau[k-1][k-1] is the
-    order-k Hankel minor, is a bordered Hankel minor and so an integer.
-    With A = D_k, C = D_(k-1), B = tau[k-1][k] and E = tau[k-2][k-1]:
-
-        tau[k][l] = (A*C*tau[k-1][l+1] - (B*C - E*A)*tau[k-1][l]
-                     - A**2*tau[k-2][l]) / C**2
-
-    and the division is exact.  Scaling the moments leaves s and t as
-    they are, so the caller may clear denominators first.
-    """
-    width = 2 * depth
-    older: list = [0] * width  # tau[-1]: zero, with D_0 = 1
-    prev = moments
-    a, b, c, e = moments[0], moments[1], 1, 0
-    s = [Fraction(b, a)]
-    t: list = []
-    for k in range(1, depth):
-        step, shift, drop, csq = a * c, b * c - e * a, a * a, c * c
-        row = [0] * (width - k)
-        for l in range(k, width - k):
-            row[l] = exact_divide(
-                step * prev[l + 1] - shift * prev[l] - drop * older[l], csq
-            )
+def _fit_integers(moments: list):
+    """s(k) = r(k) - r(k-1) and t(k-1) = D_(k+1) D_(k-1) / D_k**2 off the
+    rows tau of `hankel._chebyshev_rows`, where D_(k+1) = tau[k][k],
+    r(k) = tau[k][k+1] / D_(k+1) and r(-1) = 0; neither changes with scale."""
+    s, t = [], []
+    c, a, r = 1, 1, 0  # D_(k-1), D_k and r(k-1)
+    for k, row in enumerate(_chebyshev_rows(moments)):
         pivot = row[k]
         if not pivot:
             raise ZeroHankelMinorError(k + 1)
-        t.append(Fraction(pivot * c, drop))
-        s.append(Fraction(row[k + 1], pivot) - Fraction(b, a))
-        older, prev = prev, row
-        a, c, e, b = pivot, a, b, row[k + 1]
+        if k:
+            t.append(Fraction(pivot * c, a * a))
+        ratio = Fraction(row[k + 1], pivot)
+        s.append(ratio - r)
+        c, a, r = a, pivot, ratio
     return s, t
 
 

@@ -2,8 +2,13 @@
 
 The determinant oracle is Bareiss elimination with row exchanges, one
 matrix at a time.  It shares no code with `hankel._leading_minors`
-(which never exchanges rows and reads every leading minor off one pass),
-so the two can be checked against each other.
+(which never exchanges rows and reads every leading minor off one pass)
+or with `hankel._chebyshev_rows` (which reads them off the fraction-free
+rows of Chebyshev's moment algorithm), so they can be checked against
+each other.  `modular_dets` reaches larger orders: Gaussian elimination
+with row exchanges over F_p, with polynomial entries evaluated at a
+point.  A wrong D_n agrees with it mod p at a random point with
+probability at most deg(D_n)/p (Schwartz-Zippel).
 
 The J-fraction references are the paper's explicit recurrence
 coefficients and the orthogonal-polynomial values they give at 0
@@ -54,6 +59,47 @@ def bareiss_det(rows, one=Fraction(1)):
         prev = pivot
     result = work[n - 1][n - 1]
     return result if sign > 0 else -result
+
+
+def residue(value, prime: int, point: int = 0) -> int:
+    """An exact value mod a prime: a rational number as num * den^-1, a
+    polynomial evaluated at `point`.  The prime must divide no denominator."""
+    if isinstance(value, Polynomial):
+        total = 0
+        for c in reversed(value.coeffs):
+            total = (total * point + residue(c, prime)) % prime
+        return total
+    value = Fraction(value)
+    if value.denominator % prime == 0:
+        raise ValueError(f"{prime} divides the denominator of {value}")
+    return value.numerator * pow(value.denominator, -1, prime) % prime
+
+
+def modular_dets(rows, prime: int, point: int = 0) -> list:
+    """Leading minors D_0..D_n of a square matrix mod a prime, each order by
+    its own Gaussian elimination with row exchanges over F_p; entries are
+    read through `residue` at `point`."""
+    matrix = [[residue(a, prime, point) for a in row] for row in rows]
+    out = [1]
+    for n in range(1, len(matrix) + 1):
+        work = [row[:n] for row in matrix[:n]]
+        det = 1
+        for k in range(n):
+            swap = next((i for i in range(k, n) if work[i][k]), None)
+            if swap is None:
+                det = 0
+                break
+            if swap != k:
+                work[k], work[swap] = work[swap], work[k]
+                det = -det
+            pivot = work[k][k]
+            det = det * pivot % prime
+            inverse = pow(pivot, -1, prime)
+            for row in work[k + 1:]:
+                factor = row[k] * inverse % prime
+                row[k:] = [(a - factor * b) % prime for a, b in zip(row[k:], work[k][k:])]
+        out.append(det)
+    return out
 
 
 def h_value(n: int, r: int) -> Fraction:

@@ -1,6 +1,7 @@
-"""The one-pass leading-minor kernel, and `det_exact` and `det_sequence`
-on top of it, against the cofactor and Bareiss oracles, plus matrix shape
-and serialization checks."""
+"""The one-pass leading-minor kernel and `det_exact` on top of it, and
+`det_sequence`, which reads the Chebyshev rows and eliminates only past a
+vanishing minor, against the cofactor and Bareiss oracles, plus matrix
+shape and serialization checks."""
 
 from __future__ import annotations
 
@@ -197,11 +198,33 @@ def test_elimination_never_divides_by_a_unit_pivot(monkeypatch):
         return exact_divide(value, divisor)
 
     monkeypatch.setattr("hankelab.hankel.exact_divide", recording)
-    for spec, n_max in (("catalan", 12), ("narayana", 6)):
+    for spec, n_max in (("catalan", 12), ("narayana", 6), ("catconv:r=5", 12)):
         divisors.clear()
         det_sequence(spec, n_max)
         assert not any(d == 1 for d in divisors), spec
-    assert divisors  # narayana still divides by its pivots that are not 1
+    assert divisors  # catconv:r=5 eliminates, and divides by pivots that are not 1
+
+
+def test_det_sequence_eliminates_only_past_a_vanishing_minor(monkeypatch):
+    # The Chebyshev rows give D_1..D_n while no minor vanishes; the whole
+    # matrix goes to elimination only when one does.
+    calls = []
+
+    def recording(rows):
+        calls.append(len(rows))
+        return _minors(rows)
+
+    monkeypatch.setattr("hankelab.hankel._minors", recording)
+    for args in (("catalan", 40), ("catalan|double-signed", 32),
+                 ("u:r=3|double-signed", 24), ("narayana", 8), ("convpoly:m=4", 8)):
+        det_sequence(*args)
+        assert calls == [], args
+    # a(0) = 0 for fibonacci; the others have zero minors further on.
+    for args in (("catconv:r=5", 16), ("catalan|double-signed|aerate", 16, 1),
+                 ("fibonacci", 4)):
+        calls.clear()
+        det_sequence(*args)
+        assert calls == [args[1]], args
 
 
 def test_bareiss_matches_cofactor_integer_trials():

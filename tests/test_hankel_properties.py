@@ -1,15 +1,21 @@
 """Differential property over the spec grammar: every determinant the
-package computes comes from one elimination kernel, so it is held to two
-oracles that share no code with it, the Bareiss elimination with row
+package computes comes from the fraction-free Chebyshev rows or, past a
+vanishing minor, from the elimination kernel, so it is held to two
+oracles that share no code with either, the Bareiss elimination with row
 exchanges in `oracles.py` and cofactor expansion.
 
 Specs are a family with up to two transforms.  The explicit examples pin
 specs with vanishing minors, which drive the kernel's zero-pivot
 look-ahead and the fit's zero-minor exit.
 
+Every family, at offsets 0 and 1, is also held to determinants mod the
+prime 2^61 - 1 (`oracles.modular_dets`) up to order 40, or 20 for a
+polynomial family, at points t0 the derandomized profile draws; the
+oracle first has to find a one-coefficient error planted in one minor.
+
 The recurrence fit is held to the same determinants: where every minor up
 to the depth is nonzero it rebuilds the moments, and its product formula
-and shifted determinant give the elimination's values; otherwise it names
+and shifted determinant give `det_sequence`'s values; otherwise it names
 the first vanishing order.  Where the fit exists, the moment pencil
 det(a(i+j) x0 - a(i+j+1)) equals the Hankel determinant times the fitted
 polynomial's value at x0.
@@ -20,9 +26,11 @@ to three transforms its terms are the prefix of a longer run of them.
 
 from __future__ import annotations
 
+import functools
 from fractions import Fraction
 
-from hypothesis import assume, example, given
+import pytest
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from hankelab.exactnum import Polynomial
@@ -36,7 +44,7 @@ from hankelab.orthopoly import (
     shifted_det,
 )
 from hankelab.sequences import POLYNOMIAL, parse_spec, terms
-from oracles import bareiss_det
+from oracles import bareiss_det, modular_dets, residue
 
 FAMILIES = st.one_of(
     st.sampled_from(["catalan", "central-binomial", "narayana", "narayana-b"]),
@@ -138,3 +146,51 @@ def test_spec_text_round_trips(case):
 def test_terms_are_prefixes_of_longer_runs(case):
     spec, n, _ = case
     assert _typed(terms(spec, n)) == _typed(terms(spec, n + 3)[:n])
+
+
+PRIME = 2**61 - 1
+POINTS = st.integers(1, PRIME - 1)
+# Every family; catconv:r=3 and r=5, fibonacci (a(0) = 0), lucas and
+# f-number, and the aerated specs at offset 1 have vanishing minors.
+MODULAR_SPECS = [
+    "catalan", "central-binomial", "catconv:r=3", "catconv:r=5", "u:r=3",
+    "u:r=3|double-signed", "fibonacci", "lucas", "f-number:r=2",
+    "catalan|double-signed|aerate", "catalan|scale:1/3",
+    "narayana", "narayana-b", "convpoly:m=4", "narayana|aerate",
+]
+
+
+@functools.cache
+def _modular_case(spec, offset):
+    """det_sequence's values and the Hankel rows at the oracle's order."""
+    n = 20 if parse_spec(spec).kind == POLYNOMIAL else 40
+    return det_sequence(spec, n, offset).values, hankel_matrix(spec, n, offset).rows
+
+
+def _mismatches(values, rows, point):
+    oracle = modular_dets(rows, PRIME, point)
+    return [n for n, value in enumerate(values) if residue(value, PRIME, point) != oracle[n]]
+
+
+@settings(max_examples=20)
+@given(st.sampled_from([("narayana", 0), ("catconv:r=5", 0), ("catalan", 1)]), POINTS,
+       st.data())
+def test_the_modular_oracle_finds_a_planted_one_coefficient_error(case, point, data):
+    values, rows = _modular_case(*case)
+    n = data.draw(st.integers(1, len(values) - 1))
+    wrong = list(values)
+    if isinstance(wrong[n], Polynomial):
+        j = data.draw(st.integers(0, wrong[n].degree))
+        wrong[n] = wrong[n] + Polynomial.monomial("t", j)
+    else:
+        wrong[n] = wrong[n] + 1
+    assert _mismatches(wrong, rows, point) == [n]
+
+
+@pytest.mark.parametrize("offset", [0, 1])
+@pytest.mark.parametrize("spec", MODULAR_SPECS)
+@settings(max_examples=5)
+@given(point=POINTS)
+def test_every_family_matches_the_modular_oracle(spec, offset, point):
+    values, rows = _modular_case(spec, offset)
+    assert _mismatches(values, rows, point) == []

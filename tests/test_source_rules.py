@@ -6,10 +6,10 @@ Python 3.10, its stated floor; importing the CLI stays off
 would pay for at start-up; each command runs only the
 layers it uses, and the polynomial ring only when its values are
 polynomials; the core that every command compiles holds only scalar
-code; a layer's first load is safe across threads; the registry
-does not import the fit; one call writes all JSON; one decorator
-holds the ring's operand rule; the public names
-stay what they are; and the names the benchmark tracer wraps stay
+code; a layer's first load is safe across threads; only `hankel`
+divides exactly; the registry does not import the fit; one call
+writes all JSON; one decorator holds the ring's operand rule; the
+public names stay what they are; and the names the benchmark tracer wraps stay
 where it looks for them."""
 
 from __future__ import annotations
@@ -128,6 +128,20 @@ def test_the_operand_rule_is_written_once_in_ring_coerced():
         assert {operators[name].__qualname__ for name in coerced} == {
             "_coerced.<locals>.coerced"
         }
+
+
+def test_only_hankel_divides_exactly():
+    # The fraction-free Chebyshev rows and the elimination, both in
+    # `hankel`, make the package's only exact divisions; the fit reads
+    # the rows and divides nothing itself.  A name is a `Name`'s id, an
+    # attribute, or the name of a definition or an imported alias.
+    found = {
+        path.stem
+        for path in SOURCES
+        for node in ast.walk(ast.parse(path.read_text(), str(path)))
+        if "exact_divide" in (getattr(node, key, None) for key in ("id", "attr", "name"))
+    }
+    assert found == {"exactnum", "hankel"}
 
 
 def test_the_core_that_every_command_compiles_holds_only_scalar_code():
