@@ -3,9 +3,10 @@
 The matrix for a sequence a and offset m has entry(i, j) = a(i + j + m).
 Determinants are computed fraction-free so every intermediate stays in the
 ring the entries come from (integers, `Fraction` or `Polynomial`).
-`det_sequence` reads D_1..D_n off the pivots of Chebyshev's moment rows,
-`_chebyshev_rows`, which the fit reads too; past a vanishing minor, and
-in `det_exact`, one elimination pass, `_leading_minors`, gives them.
+`det_sequence` clears the moments a(m .. m+2n-2) once and reads D_1..D_n
+off the pivots of Chebyshev's moment rows, `_chebyshev_rows`, which the
+fit reads too; past a vanishing minor, and in `det_exact`, one
+elimination pass, `_leading_minors`, gives them.
 `det_cofactor` (cofactor expansion, no division) is the independent
 oracle; the tests keep Bareiss elimination and determinants mod p too.
 """
@@ -114,7 +115,8 @@ def hankel_matrix(spec, n: int, offset: int = 0) -> HankelMatrix:
     spec = parse_spec(spec)
     if n < 0:
         raise ValueError("order must be >= 0")
-    rows = tuple(map(tuple, _hankel_rows(spec, n, offset)))
+    moments = _moments(spec, n, offset)
+    rows = tuple(tuple(moments[i:i + n]) for i in range(n))
     return HankelMatrix(spec, offset, n, rows)
 
 
@@ -125,10 +127,15 @@ def det_exact(matrix, one=None):
     value of the empty matrix; it is inferred from a HankelMatrix.  A
     singular matrix gives the zero of its entries' ring.  The value is
     D_n of `_leading_minors`, whose look-ahead adds a row i < n to a row
-    above, which keeps every minor of order above i.
+    above, which keeps every minor of order above i.  Numbers are cleared
+    to ints over their lcm L, and D_n is given as Fraction(D_n, L**n).
     """
     rows, one = _matrix(matrix, one)
-    return _minors(rows)[-1] if rows else one
+    if not rows:
+        return one
+    ints, scale = _cleared(*rows)
+    det = _leading_minors(ints)[-1]
+    return Fraction(det, scale**len(rows)) if _is_scalar(det) else det
 
 
 def det_cofactor(rows, one=None):
@@ -160,7 +167,7 @@ def _leading_minors(rows) -> list:
     pass goes on; orders up to the largest such i are reported as 0.  A
     column that is zero from row k down makes every remaining minor 0.
     Each zero is taken from the matrix, so it has the type of the entries
-    it came from (see `_minors` for rows that mix numbers and polynomials).
+    it came from (`_matrix` gives numbers the ring of the other entries).
     """
     work = [list(row) for row in rows]
     n = len(work)
@@ -219,63 +226,48 @@ def _chebyshev_rows(moments):
             return
 
 
-def _minors(rows) -> list:
-    """Leading principal minors D_1..D_n of a square matrix.
-
-    When every entry is an int or Fraction, they are scaled by the lcm L of
-    their denominators, the kernel runs on Python ints and D_n is returned
-    as Fraction(minor, L**n).  Other entries go through as they are; when
-    some entry is a `Polynomial`, a zero minor that the kernel took from a
-    column of numbers is given as `Polynomial.zero()`.
-    """
-    entries = [a for row in rows for a in row]
-    if not all(isinstance(a, (int, Fraction)) for a in entries):
-        minors = _leading_minors(rows)
-        poly = ring.Polynomial
-        if any(isinstance(a, poly) for a in entries):
-            return [poly.zero() if _is_scalar(d) and not d else d for d in minors]
-        return minors
-    ints, scale = _cleared(*rows)
-    return [Fraction(d, scale**n) for n, d in enumerate(_leading_minors(ints), 1)]
-
-
 def det_sequence(spec, n_max: int, offset: int = 0) -> DetSequence:
     """Determinants of all leading orders 0..n_max at one offset: the
     pivots of `_chebyshev_rows` on a(offset .. offset+2*n_max-2), rational
-    ones cleared to ints as in `_minors`; past a vanishing minor, `_minors`."""
+    moments cleared once to ints over their lcm L and each D_n given as
+    Fraction(D_n, L**n); past a vanishing minor, `_leading_minors` does."""
     spec = parse_spec(spec)
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
-    rows = _hankel_rows(spec, n_max, offset)
-    moments = [*rows[0], *(row[-1] for row in rows[1:])] if rows else []
-    (ints,), scale = _cleared(moments)
+    (ints,), scale = _cleared(_moments(spec, n_max, offset))
     minors = [row[k] for k, row in enumerate(_chebyshev_rows(ints))]
     if not all(minors):
-        minors = _minors(rows)
-    elif spec.kind != POLYNOMIAL:
+        minors = _leading_minors([ints[i:i + n_max] for i in range(n_max)])
+    if spec.kind != POLYNOMIAL:
         minors = [Fraction(d, scale**n) for n, d in enumerate(minors, 1)]
     return DetSequence(spec, offset, (_ring_one(spec), *minors))
 
 
-def _hankel_rows(spec: SequenceSpec, n: int, offset: int) -> list:
-    """Rows a(i + j + offset), i, j < n, of a parsed spec's terms."""
+def _moments(spec: SequenceSpec, n: int, offset: int) -> list:
+    """The terms a(offset .. offset+2n-2) of a parsed spec, which fill an
+    order-n Hankel matrix: entry(i, j) is moments[i + j]."""
     if offset < 0:
         raise ValueError("offset must be >= 0")
-    values = terms(spec, 2 * n - 1 + offset if n else 0)
-    return [[values[i + j + offset] for j in range(n)] for i in range(n)]
+    return terms(spec, 2 * n - 1 + offset if n else 0)[offset:]
 
 
 def _matrix(matrix, one) -> tuple:
     """Rows and ring unit of a HankelMatrix, or of plain rows with `one`
     (default Fraction(1)); the rows must be square and every entry exact:
-    an int, `Fraction`, `Polynomial` or `RationalFunction`."""
+    an int, `Fraction`, `Polynomial` or `RationalFunction`.  Numbers take
+    the ring of the other entries, `RationalFunction` first, so a zero
+    taken from a column of numbers is that ring's zero."""
     if isinstance(matrix, HankelMatrix):
         matrix, one = matrix.rows, _ring_one(matrix.spec)
     if any(len(row) != len(matrix) for row in matrix):
         raise ValueError("matrix must be square")
-    for row in matrix:
-        for a in row:
-            # The scalar test comes first, so rational rows never run `ring`.
-            if not _is_scalar(a) and not isinstance(a, (ring.Polynomial, ring.RationalFunction)):
-                raise TypeError(f"inexact matrix entry: {a!r}")
+    # The scalar test comes first, so rational rows never run `ring`.
+    symbolic = [a for row in matrix for a in row if not _is_scalar(a)]
+    for a in symbolic:
+        if not isinstance(a, (ring.Polynomial, ring.RationalFunction)):
+            raise TypeError(f"inexact matrix entry: {a!r}")
+    if symbolic:
+        rf = any(isinstance(a, ring.RationalFunction) for a in symbolic)
+        lift = ring.RationalFunction if rf else ring.Polynomial.constant
+        matrix = [[lift(a) if _is_scalar(a) else a for a in row] for row in matrix]
     return matrix, Fraction(1) if one is None else one

@@ -160,6 +160,16 @@ COMMANDS = (
         ["seq", "catalan", "--terms=--"],
         ["seq", "-a b", "--terms", "2"],
     ]
+    # Determinants past a vanishing minor: larger orders, a polynomial
+    # spec at offset 1, a(0) = 0, and matrices whose every column is zero.
+    + [
+        ["hankel", "catconv:r=3", "--n-max", "30"],
+        ["hankel", "catalan|double-signed|aerate", "--n-max", "24", "--offset", "1"],
+        ["hankel", "narayana|aerate", "--n-max", "8", "--offset", "1"],
+        ["hankel", "fibonacci", "--n-max", "6"],
+        ["hankel", "narayana|scale:0", "--n-max", "3"],
+        ["hankel", "catalan|scale:0", "--n-max", "3", "--format", "json"],
+    ]
     # The JSON report of every id not pinned in JSON above.
     + [
         ["verify", id, "--format", "json"] for id in registry.formula_ids()

@@ -1,7 +1,8 @@
 """The one-pass leading-minor kernel and `det_exact` on top of it, and
-`det_sequence`, which reads the Chebyshev rows and eliminates only past a
-vanishing minor, against the cofactor and Bareiss oracles, plus matrix
-shape and serialization checks."""
+`det_sequence`, which clears its moment list once, reads the Chebyshev
+rows and eliminates only past a vanishing minor, against the cofactor and
+Bareiss oracles; the ring of a zero in rows that mix numbers and symbolic
+entries; plus matrix shape and serialization checks."""
 
 from __future__ import annotations
 
@@ -13,8 +14,8 @@ import pytest
 
 from hankelab.exactnum import Polynomial, RationalFunction, exact_divide
 from hankelab.hankel import (
+    _cleared,
     _leading_minors,
-    _minors,
     csv_cell,
     csv_table,
     det_cofactor,
@@ -143,7 +144,7 @@ def test_two_by_two_integer_example():
 
 def test_integer_rows_give_fractions_at_every_order():
     rows = [[1, 2, 0], [3, 4, 1], [0, 2, 5]]
-    minors = _minors(rows)
+    minors = [det_exact([row[:n] for row in rows[:n]]) for n in (1, 2, 3)]
     assert [type(d) for d in minors] == [Fraction] * 3
     assert minors == [1, -2, det_cofactor(rows)] == [1, -2, -12]
     for matrix, value in (([[5]], 5), ([[1, 2], [3, 4]], -2)):
@@ -186,6 +187,14 @@ def test_singular_matrices_give_zero():
         for det in (det_exact, det_cofactor):
             value = det(rows)
             assert type(value) is Polynomial and value == zero, (det, rows)
+    # With a rational function among the entries, numbers take its ring,
+    # `RationalFunction` before `Polynomial`.
+    r = RationalFunction(1, t)
+    for rows in ([[0, r], [0, r]], [[0, 0], [0, r]],
+                 [[1, 0, r], [1, 0, 0], [0, 0, r]], [[0, t], [0, r]]):
+        value, expected = det_exact(rows), det_cofactor(rows)
+        assert value == expected == 0, rows
+        assert type(value) is type(expected) is RationalFunction, rows
 
 
 def test_elimination_never_divides_by_a_unit_pivot(monkeypatch):
@@ -206,25 +215,35 @@ def test_elimination_never_divides_by_a_unit_pivot(monkeypatch):
 
 
 def test_det_sequence_eliminates_only_past_a_vanishing_minor(monkeypatch):
-    # The Chebyshev rows give D_1..D_n while no minor vanishes; the whole
-    # matrix goes to elimination only when one does.
-    calls = []
+    # The Chebyshev rows give D_1..D_n while no minor vanishes; the Hankel
+    # rows go to elimination only when one does.  Either way the moments
+    # are cleared once.
+    calls, clearings = [], []
 
     def recording(rows):
         calls.append(len(rows))
-        return _minors(rows)
+        return _leading_minors(rows)
 
-    monkeypatch.setattr("hankelab.hankel._minors", recording)
+    def counting(*parts):
+        clearings.append(len(parts))
+        return _cleared(*parts)
+
+    monkeypatch.setattr("hankelab.hankel._leading_minors", recording)
+    monkeypatch.setattr("hankelab.hankel._cleared", counting)
     for args in (("catalan", 40), ("catalan|double-signed", 32),
                  ("u:r=3|double-signed", 24), ("narayana", 8), ("convpoly:m=4", 8)):
+        clearings.clear()
         det_sequence(*args)
         assert calls == [], args
+        assert clearings == [1], args
     # a(0) = 0 for fibonacci; the others have zero minors further on.
     for args in (("catconv:r=5", 16), ("catalan|double-signed|aerate", 16, 1),
-                 ("fibonacci", 4)):
+                 ("fibonacci", 4), ("narayana|aerate", 8, 1)):
         calls.clear()
+        clearings.clear()
         det_sequence(*args)
         assert calls == [args[1]], args
+        assert clearings == [1], args
 
 
 def test_bareiss_matches_cofactor_integer_trials():

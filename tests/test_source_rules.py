@@ -8,7 +8,8 @@ layers it uses, and the polynomial ring only when its values are
 polynomials; the core that every command compiles holds only scalar
 code; a layer's first load is safe across threads; only `hankel`
 divides exactly; the registry does not import the fit; one call
-writes all JSON; one decorator holds the ring's operand rule; the
+writes all JSON; one decorator holds the ring's operand rule; `hankel`
+clears and eliminates from `det_sequence` and `det_exact` only; the
 public names stay what they are; and the names the benchmark tracer wraps stay
 where it looks for them."""
 
@@ -142,6 +143,24 @@ def test_only_hankel_divides_exactly():
         if "exact_divide" in (getattr(node, key, None) for key in ("id", "attr", "name"))
     }
     assert found == {"exactnum", "hankel"}
+
+
+def test_hankel_clears_and_eliminates_from_two_places_only():
+    # `det_sequence` clears its moments once and `det_exact` its rows once;
+    # they are the only callers of the clearing and of the elimination, so
+    # no wrapper clears again or patches the ring of a zero afterwards.
+    tree = ast.parse((PACKAGE / "hankel.py").read_text())
+    found = {
+        (node.func.id, top.name)
+        for top in tree.body
+        for node in ast.walk(top)
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+        and node.func.id in ("_cleared", "_leading_minors")
+    }
+    assert found == {(name, caller) for name in ("_cleared", "_leading_minors")
+                     for caller in ("det_sequence", "det_exact")}
+    defined = {node.name for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)}
+    assert "_minors" not in defined and "_hankel_rows" not in defined
 
 
 def test_the_core_that_every_command_compiles_holds_only_scalar_code():
