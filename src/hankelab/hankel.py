@@ -159,15 +159,15 @@ def det_cofactor(rows, one=None):
 def _leading_minors(rows) -> list:
     """Leading principal minors D_1..D_n of a square matrix in one pass.
 
-    Fraction-free elimination without row exchanges: by Sylvester's
-    identity the pivot of step k is D_{k+1}.  A zero pivot whose column
-    has its first nonzero entry below in row i means D_{k+1}..D_i vanish
-    (the trailing block starts with a zero column).  Adding row i to row k
-    keeps every minor of order above i and gives a nonzero pivot, so the
-    pass goes on; orders up to the largest such i are reported as 0.  A
-    column that is zero from row k down makes every remaining minor 0.
-    Each zero is taken from the matrix, so it has the type of the entries
-    it came from (`_matrix` gives numbers the ring of the other entries).
+    Fraction-free elimination without row exchanges, each entry adding a
+    signed product: by Sylvester's identity the pivot of step k is D_{k+1}.
+    A zero pivot whose column has its first nonzero entry below in row i
+    means D_{k+1}..D_i vanish (the trailing block starts with a zero
+    column).  Adding row i to row k keeps every minor of order above i and
+    gives a nonzero pivot, so the pass goes on; orders up to the largest
+    such i are reported as 0.  A column zero from row k down makes every
+    remaining minor 0.  Each zero is taken from the matrix, so it has the
+    type of its entries (`_matrix` gives numbers the ring of the others).
     """
     work = [list(row) for row in rows]
     n = len(work)
@@ -187,8 +187,8 @@ def _leading_minors(rows) -> list:
         tail = pivot_row[k + 1:]
         unit = prev == 1
         for row in work[k + 1:]:
-            left = row[k]
-            cross = [pivot * a - left * b for a, b in zip(row[k + 1:], tail)]
+            left = -row[k]
+            cross = [pivot * a + left * b for a, b in zip(row[k + 1:], tail)]
             # Divisibility by the previous pivot is a theorem of the
             # elimination scheme; a remainder means a bug, not bad input.
             row[k + 1:] = cross if unit else [exact_divide(c, prev) for c in cross]
@@ -204,7 +204,7 @@ def _chebyshev_rows(moments):
     l = k .. len(moments)-1-k, and its pivot is D_(k+1); tau[-1] is zero.
     With A = D_k, C = D_(k-1), D_0 = 1, B = tau[k-1][k], E = tau[k-2][k-1]:
 
-        tau[k][l] = (A*C*tau[k-1][l+1] - (B*C - E*A)*tau[k-1][l]
+        tau[k][l] = (A*C*tau[k-1][l+1] + (E*A - B*C)*tau[k-1][l]
                      - A**2*tau[k-2][l]) / C**2
 
     The division is exact, and skipped when C**2 is 1, as in elimination;
@@ -215,10 +215,11 @@ def _chebyshev_rows(moments):
     for k in range((width + 1) // 2):
         if k:
             a, b, e = row[k - 1], row[k], older[k - 1]
-            step, shift, drop, csq = a * c, b * c - e * a, a * a, c * c
+            # Signed coefficients: a ring subtraction would negate each entry.
+            step, shift, drop, csq = a * c, e * a - b * c, -(a * a), c * c
             new = [0] * (width - k)
             for l in range(k, width - k):
-                value = step * row[l + 1] - shift * row[l] - drop * older[l]
+                value = step * row[l + 1] + shift * row[l] + drop * older[l]
                 new[l] = value if csq == 1 else exact_divide(value, csq)
             older, row, c = row, new, a
         yield row
@@ -230,13 +231,13 @@ def det_sequence(spec, n_max: int, offset: int = 0) -> DetSequence:
     """Determinants of all leading orders 0..n_max at one offset: the
     pivots of `_chebyshev_rows` on a(offset .. offset+2*n_max-2), rational
     moments cleared once to ints over their lcm L and each D_n given as
-    Fraction(D_n, L**n); past a vanishing minor, `_leading_minors` does."""
+    Fraction(D_n, L**n); if the rows end short of D_n, `_leading_minors` does."""
     spec = parse_spec(spec)
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
     (ints,), scale = _cleared(_moments(spec, n_max, offset))
     minors = [row[k] for k, row in enumerate(_chebyshev_rows(ints))]
-    if not all(minors):
+    if len(minors) < n_max:
         minors = _leading_minors([ints[i:i + n_max] for i in range(n_max)])
     if spec.kind != POLYNOMIAL:
         minors = [Fraction(d, scale**n) for n, d in enumerate(minors, 1)]

@@ -130,19 +130,20 @@ def _fit_field(moments: list, depth: int):
     """Chebyshev's moment algorithm over a field.
 
     sigma[k][l] is the functional applied to p(k, x) * x^l; row k only
-    needs l = k .. width-1-k, stored with its natural l index.  Row k
-    reads rows k-1 and k-2 alone, so only those two are kept.
+    needs l = k .. width-1-k, stored with its natural l index.  Row k is
+    row k-1 shifted plus -s(k-1) times row k-1 and -t(k-2) times row k-2.
     """
     width = 2 * depth
     older, prev = None, moments
     s = [moments[1] / moments[0]]
     t: list = []
     for k in range(1, depth):
+        shift, drop = -s[k - 1], -t[k - 2] if k >= 2 else None
         row = [None] * (width - k)
         for l in range(k, width - k):
-            value = prev[l + 1] - s[k - 1] * prev[l]
+            value = prev[l + 1] + shift * prev[l]
             if k >= 2:
-                value = value - t[k - 2] * older[l]
+                value = value + drop * older[l]
             row[l] = value
         if not row[k]:
             raise ZeroHankelMinorError(k + 1)

@@ -220,15 +220,8 @@ class Polynomial:
     def __neg__(self):
         return _make([-c for c in self.nums], self.den, self.var)
 
-    def _minus(self, rhs):
-        var = self._join(self.var, rhs.var)
-        a, b, den = _aligned(self, rhs)
-        out = [x - y for x, y in zip(a, b)]
-        out += a[len(b):] if len(a) > len(b) else [-y for y in b[len(a):]]
-        return _make(out, den, var)
-
-    __sub__ = _coerced(_minus)
-    __rsub__ = _coerced(lambda self, rhs: rhs._minus(self))
+    __sub__ = _coerced(lambda self, rhs: self + -rhs)
+    __rsub__ = _coerced(lambda self, rhs: rhs + -self)
 
     @_coerced
     def __mul__(self, rhs):
@@ -494,13 +487,8 @@ class RationalFunction:
         result.den = self.den
         return result
 
-    def _minus(self, rhs):
-        return RationalFunction(
-            self.num * rhs.den - rhs.num * self.den, self.den * rhs.den
-        )
-
-    __sub__ = _coerced(_minus)
-    __rsub__ = _coerced(lambda self, rhs: rhs._minus(self))
+    __sub__ = _coerced(lambda self, rhs: self + -rhs)
+    __rsub__ = _coerced(lambda self, rhs: rhs + -self)
 
     @_coerced
     def __mul__(self, rhs):
@@ -610,9 +598,7 @@ class PowerSeries:
     def __add__(self, rhs):
         return PowerSeries([x + y for x, y in zip(self.coeffs, rhs.coeffs)])
 
-    @_coerced
-    def __sub__(self, rhs):
-        return PowerSeries([x - y for x, y in zip(self.coeffs, rhs.coeffs)])
+    __sub__ = _coerced(lambda self, rhs: self + rhs * -1)
 
     def __mul__(self, other):
         if not isinstance(other, PowerSeries):

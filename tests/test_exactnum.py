@@ -281,6 +281,24 @@ def test_power_series_truncating_arithmetic():
     assert (a * b)[3] == 1 + 2 + 3 + 4 - 4  # coefficient of z^3 in the product
 
 
+def test_power_series_difference_truncates_to_the_shorter_operand():
+    r = RationalFunction(1, 1 + _T)
+    a = PowerSeries([Fraction(1, 2), _T, r, 3, 5])
+    b = PowerSeries([r, Fraction(2, 3), _T * _T, Fraction(1, 4)])
+    assert [(type(c), str(c)) for c in (a - b).coeffs] == [
+        (RationalFunction, "(-1/2 + 1/2*t) / (1 + t)"),
+        (Polynomial, "-2/3 + t"),
+        (RationalFunction, "(1 - t^2 - t^3) / (1 + t)"),
+        (Fraction, "11/4"),
+    ]
+    assert [(type(c), str(c)) for c in (b - a).coeffs] == [
+        (RationalFunction, "(1/2 - 1/2*t) / (1 + t)"),
+        (Polynomial, "2/3 - t"),
+        (RationalFunction, "(-1 + t^2 + t^3) / (1 + t)"),
+        (Fraction, "-11/4"),
+    ]
+
+
 def test_power_series_scalar_products():
     s = PowerSeries([1, 2, 3])
     half = s * Fraction(1, 2)
@@ -372,6 +390,38 @@ def test_rational_function_equals_a_constant_polynomial_holding_it():
     value = RationalFunction(1, 1 + _T)
     assert value == Polynomial((value,))
     assert value != Polynomial((value + 1,))
+
+
+_R = RationalFunction(1, 1 + _T)
+
+
+@pytest.mark.parametrize(("p", "q", "c"), [
+    (Polynomial.parse("1 + 2*t"), Polynomial.parse("t - 3*t^2"), Fraction(2, 3)),
+    (Polynomial([_R, 2], "x"), Polynomial([1, _R, _R], "x"), _R),
+    (_R, RationalFunction(_T, 1 - _T), Fraction(2, 3)),
+    (PowerSeries([1, _T, _R]), PowerSeries([_R, 2, Fraction(1, 2), 3]), None),
+])
+def test_a_subtraction_goes_through_add(monkeypatch, p, q, c):
+    # a - b is a + (-b), so wrapping `__add__`, as the benchmark tracer
+    # does, catches every subtraction.
+    added = []
+    for cls in (Polynomial, RationalFunction, PowerSeries):
+        def counted(self, other, add=cls.__add__):
+            added.append(type(self))
+            return add(self, other)
+        monkeypatch.setattr(cls, "__add__", counted)
+    negated = (lambda x: x * -1) if isinstance(p, PowerSeries) else (lambda x: -x)
+    cases = [(lambda: p - q, lambda: p + negated(q))]
+    if c is not None:
+        cases += [(lambda: c - p, lambda: negated(p) + c),
+                  (lambda: p - c, lambda: p + (-c))]
+    for difference, total in cases:
+        added.clear()
+        value = difference()
+        assert type(p) in added
+        expected = total()
+        assert (type(value), str(value)) == (type(expected), str(expected))
+        assert value == expected
 
 
 # A foreign operand is refused, not absorbed: each operator returns

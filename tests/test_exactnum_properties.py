@@ -241,6 +241,9 @@ def test_rational_function_coefficients_take_the_fraction_loop():
     t_over_one_minus_t = RationalFunction.parse("t / (1 - t)")
     a = Polynomial([over_one_plus_t, Fraction(2), t_over_one_minus_t], "x")
     b = Polynomial([Fraction(1, 3), over_one_plus_t], "x")
+    assert_same(a + b, ref_add(a.coeffs, b.coeffs), "x")
+    assert_same(a - b, ref_add(a.coeffs, b.coeffs, -1), "x")
+    assert_same(b - a, ref_add(b.coeffs, a.coeffs, -1), "x")
     assert_same(a * b, ref_mul(a.coeffs, b.coeffs), "x")
     quot, rem = divmod(a, b)
     ref_quot, ref_rem = ref_divmod(a.coeffs, b.coeffs)

@@ -170,6 +170,17 @@ COMMANDS = (
         ["hankel", "narayana|scale:0", "--n-max", "3"],
         ["hankel", "catalan|scale:0", "--n-max", "3", "--format", "json"],
     ]
+    # Ring arithmetic at depth: a fit whose s and t are rational functions
+    # with nontrivial denominators, a polynomial Hankel case of order 12,
+    # and specs whose first vanishing minor is the last one asked for.
+    + [
+        ["fit", "convpoly:m=5", "--depth", "6"],
+        ["hankel", "convpoly:m=6", "--n-max", "12"],
+        ["hankel", "catconv:r=3", "--n-max", "2"],
+        ["hankel", "fibonacci", "--n-max", "1"],
+        ["hankel", "narayana|aerate", "--n-max", "1", "--offset", "1"],
+        ["hankel", "catconv:r=7", "--n-max", "4", "--format", "json"],
+    ]
     # The JSON report of every id not pinned in JSON above.
     + [
         ["verify", id, "--format", "json"] for id in registry.formula_ids()

@@ -215,9 +215,9 @@ def test_elimination_never_divides_by_a_unit_pivot(monkeypatch):
 
 
 def test_det_sequence_eliminates_only_past_a_vanishing_minor(monkeypatch):
-    # The Chebyshev rows give D_1..D_n while no minor vanishes; the Hankel
-    # rows go to elimination only when one does.  Either way the moments
-    # are cleared once.
+    # The Chebyshev rows give D_1 up to the first vanishing minor; the
+    # Hankel rows go to elimination only when that is short of D_n.  Either
+    # way the moments are cleared once.
     calls, clearings = [], []
 
     def recording(rows):
@@ -236,6 +236,14 @@ def test_det_sequence_eliminates_only_past_a_vanishing_minor(monkeypatch):
         det_sequence(*args)
         assert calls == [], args
         assert clearings == [1], args
+    # Here the first vanishing minor is the last one asked for: the rows
+    # stop on its zero pivot, which is that minor.
+    for spec, n_max, *offset in (("catconv:r=3", 2), ("catconv:r=7", 4),
+                                 ("fibonacci", 1), ("narayana|aerate", 1, 1)):
+        values = det_sequence(spec, n_max, *offset).values
+        assert calls == [], spec
+        oracle = [det_cofactor(hankel_matrix(spec, n, *offset)) for n in range(n_max + 1)]
+        assert [(type(v), str(v)) for v in values] == [(type(v), str(v)) for v in oracle]
     # a(0) = 0 for fibonacci; the others have zero minors further on.
     for args in (("catconv:r=5", 16), ("catalan|double-signed|aerate", 16, 1),
                  ("fibonacci", 4), ("narayana|aerate", 8, 1)):

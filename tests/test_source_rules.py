@@ -8,7 +8,8 @@ layers it uses, and the polynomial ring only when its values are
 polynomials; the core that every command compiles holds only scalar
 code; a layer's first load is safe across threads; only `hankel`
 divides exactly; the registry does not import the fit; one call
-writes all JSON; one decorator holds the ring's operand rule; `hankel`
+writes all JSON; one decorator holds the ring's operand rule and
+subtraction is addition of the negation; `hankel`
 clears and eliminates from `det_sequence` and `det_exact` only; the
 public names stay what they are; and the names the benchmark tracer wraps stay
 where it looks for them."""
@@ -129,6 +130,25 @@ def test_the_operand_rule_is_written_once_in_ring_coerced():
         assert {operators[name].__qualname__ for name in coerced} == {
             "_coerced.<locals>.coerced"
         }
+    # Subtraction is written once, as addition of the negation: no class
+    # keeps a `_minus`, and each `__sub__` and `__rsub__` wraps a lambda
+    # that adds, so every subtraction runs the class's `__add__`.
+    tree = ast.parse((PACKAGE / "ring.py").read_text())
+    assert [node.name for node in ast.walk(tree)
+            if isinstance(node, ast.FunctionDef) and node.name == "_minus"] == []
+    adding = {
+        (cls.name, target.id)
+        for cls in tree.body if isinstance(cls, ast.ClassDef)
+        for node in cls.body if isinstance(node, ast.Assign)
+        for target in node.targets
+        if isinstance(call := node.value, ast.Call)
+        and getattr(call.func, "id", None) == "_coerced"
+        and isinstance(fn := call.args[0], ast.Lambda)
+        and isinstance(fn.body, ast.BinOp) and isinstance(fn.body.op, ast.Add)
+    }
+    subtractions = {(cname, name) for cname, names in COERCED_OPERATORS.items()
+                    for name in names if name in ("__sub__", "__rsub__")}
+    assert subtractions - adding == set()
 
 
 def test_only_hankel_divides_exactly():
