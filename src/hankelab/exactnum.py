@@ -88,11 +88,11 @@ def _is_scalar(value) -> bool:
 
 
 def _cleared(*parts):
-    """Sequences of ints and Fractions (coefficients, matrix entries,
-    moments) as integer lists over one common denominator, with that
-    denominator.  Any other element leaves them as they are, over 1."""
+    """Sequences of ints and Fractions (coefficients, matrix entries, moments)
+    as int lists over their lcm, with that scale; any other element leaves
+    them as they are, with scale None: the kernels' one test for numbers."""
     if not all(_is_scalar(c) for part in parts for c in part):
-        return parts, 1
+        return parts, None
     den = math.lcm(*(c.denominator for part in parts for c in part))
     return [[c.numerator * (den // c.denominator) for c in part] for part in parts], den
 

@@ -123,19 +123,19 @@ def hankel_matrix(spec, n: int, offset: int = 0) -> HankelMatrix:
 def det_exact(matrix, one=None):
     """Exact determinant of one matrix; the empty matrix gives 1.
 
-    Accepts a HankelMatrix or a plain list of rows.  `one` only names the
-    value of the empty matrix; it is inferred from a HankelMatrix.  A
-    singular matrix gives the zero of its entries' ring.  The value is
-    D_n of `_leading_minors`, whose look-ahead adds a row i < n to a row
-    above, which keeps every minor of order above i.  Numbers are cleared
-    to ints over their lcm L, and D_n is given as Fraction(D_n, L**n).
+    Accepts a HankelMatrix or a plain list of rows; `one`, the value of
+    the empty matrix, is inferred from a HankelMatrix.  A singular matrix
+    gives its ring's zero.  The value is D_n of `_leading_minors`, whose
+    look-ahead adds a row i < n to a row above, which keeps every minor of
+    order above i.  Numbers are cleared to ints over their lcm L and give
+    Fraction(D_n, L**n); ring values (`_cleared`'s scale None) give D_n.
     """
     rows, one = _matrix(matrix, one)
     if not rows:
         return one
     ints, scale = _cleared(*rows)
     det = _leading_minors(ints)[-1]
-    return Fraction(det, scale**len(rows)) if _is_scalar(det) else det
+    return det if scale is None else Fraction(det, scale**len(rows))
 
 
 def det_cofactor(rows, one=None):
@@ -228,10 +228,10 @@ def _chebyshev_rows(moments):
 
 
 def det_sequence(spec, n_max: int, offset: int = 0) -> DetSequence:
-    """Determinants of all leading orders 0..n_max at one offset: the
-    pivots of `_chebyshev_rows` on a(offset .. offset+2*n_max-2), rational
-    moments cleared once to ints over their lcm L and each D_n given as
-    Fraction(D_n, L**n); if the rows end short of D_n, `_leading_minors` does."""
+    """Determinants of orders 0..n_max at one offset: the pivots of
+    `_chebyshev_rows` on a(offset .. offset+2*n_max-2), then those of
+    `_leading_minors` past a zero pivot.  Numbers are cleared to ints over
+    their lcm L and give Fraction(D_n, L**n); ring values give D_n."""
     spec = parse_spec(spec)
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
@@ -239,7 +239,7 @@ def det_sequence(spec, n_max: int, offset: int = 0) -> DetSequence:
     minors = [row[k] for k, row in enumerate(_chebyshev_rows(ints))]
     if len(minors) < n_max:
         minors = _leading_minors([ints[i:i + n_max] for i in range(n_max)])
-    if spec.kind != POLYNOMIAL:
+    if scale is not None:
         minors = [Fraction(d, scale**n) for n, d in enumerate(minors, 1)]
     return DetSequence(spec, offset, (_ring_one(spec), *minors))
 

@@ -95,21 +95,16 @@ class Triangle(_Frozen):
         return [row[0] for row in self.rows]
 
 
-def _lift(moments: list) -> list:
-    rf = ring.RationalFunction
-    return [m if isinstance(m, rf) else rf(m) for m in moments]
-
-
 def fit_recurrence(moments, depth: int) -> JacobiData:
     """Unique s(0..depth-1), t(0..depth-2) reproducing the moments.
 
     Needs 2*depth moments with a(0) = 1.  Raises ZeroHankelMinorError
     naming the order of the first vanishing minor when no fit exists.
 
-    Rational moments are cleared to integers by one common denominator
-    and fitted on the integer rows of `hankel._chebyshev_rows`
-    (`_fit_integers`); `Fraction`s are built only for s and t.
-    Polynomial moments are fitted over the rational-function field.
+    `_cleared` decides: numbers are cleared to integers over one common
+    denominator and fitted on the integer rows of `hankel._chebyshev_rows`
+    (`_fit_integers`), with `Fraction`s built only for s and t; ring
+    values (scale None) are fitted over the rational-function field.
     """
     if depth < 0:
         raise ValueError("depth must be >= 0")
@@ -117,27 +112,28 @@ def fit_recurrence(moments, depth: int) -> JacobiData:
         raise ValueError(f"need {max(2 * depth, 1)} moments, got {len(moments)}")
     if moments[0] != 1:
         raise ValueError("fitting needs a leading moment equal to 1")
-    head = list(moments[: 2 * depth])
-    if all(map(_is_scalar, head)):
-        (ints,), _ = _cleared(head)
-        s, t = _fit_integers(ints)
+    (head,), scale = _cleared(moments[: 2 * depth])
+    if scale is None:
+        rf = ring.RationalFunction
+        s, t = _fit_field([m if isinstance(m, rf) else rf(m) for m in head])
     else:
-        s, t = _fit_field(_lift(head), depth)
+        s, t = _fit_integers(head)
     return JacobiData(tuple(s), tuple(t))
 
 
-def _fit_field(moments: list, depth: int):
-    """Chebyshev's moment algorithm over a field.
+def _fit_field(moments: list):
+    """Chebyshev's moment algorithm over a field, to depth len(moments) // 2.
 
-    sigma[k][l] is the functional applied to p(k, x) * x^l; row k only
-    needs l = k .. width-1-k, stored with its natural l index.  Row k is
-    row k-1 shifted plus -s(k-1) times row k-1 and -t(k-2) times row k-2.
+    sigma[k][l] is the functional applied to p(k, x) * x^l, for l = k ..
+    width-1-k at its natural index.  Row k is row k-1 shifted plus -s(k-1)
+    times row k-1 and -t(k-2) times row k-2; s(k) = r(k) - r(k-1), where
+    r(k) = sigma[k][k+1] / sigma[k][k] is carried, so it is divided once.
     """
-    width = 2 * depth
+    width = len(moments)
     older, prev = None, moments
-    s = [moments[1] / moments[0]]
-    t: list = []
-    for k in range(1, depth):
+    r = moments[1] / moments[0]
+    s, t = [r], []
+    for k in range(1, width // 2):
         shift, drop = -s[k - 1], -t[k - 2] if k >= 2 else None
         row = [None] * (width - k)
         for l in range(k, width - k):
@@ -148,8 +144,9 @@ def _fit_field(moments: list, depth: int):
         if not row[k]:
             raise ZeroHankelMinorError(k + 1)
         t.append(row[k] / prev[k - 1])
-        s.append(row[k + 1] / row[k] - prev[k] / prev[k - 1])
-        older, prev = prev, row
+        ratio = row[k + 1] / row[k]
+        s.append(ratio - r)
+        older, prev, r = prev, row, ratio
     return s, t
 
 

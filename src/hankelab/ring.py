@@ -73,7 +73,7 @@ class Polynomial:
 
     def __init__(self, coeffs=(), var: str | None = None):
         (nums,), den = _cleared([self._coerce(c, var) for c in coeffs])
-        if self._store(nums, den, var).var is None and len(self.nums) > 1:
+        if self._store(nums, den or 1, var).var is None and len(self.nums) > 1:
             raise ValueError("a nonconstant polynomial needs a variable")
 
     def _store(self, nums: list, den: int, var: str | None) -> "Polynomial":
@@ -622,7 +622,8 @@ class PowerSeries:
         return _power(self, exponent)
 
     def invert(self) -> "PowerSeries":
-        """Multiplicative inverse; the constant term must be a nonzero scalar."""
+        """Multiplicative inverse; the constant term must be nonzero, and a
+        `Polynomial` one constant (a `RationalFunction` one need not be)."""
         a0 = self.coeffs[0]
         if isinstance(a0, Polynomial):
             if a0.degree > 0:

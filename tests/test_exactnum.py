@@ -13,6 +13,7 @@ from hankelab.exactnum import (
     PowerSeries,
     RationalFunction,
     VariableMismatchError,
+    _cleared,
     binomial,
     exact_divide,
     poly_gcd,
@@ -329,6 +330,14 @@ def test_power_series_invert_takes_a_constant_polynomial_term():
         PowerSeries([t + 1, t]).invert()
 
 
+def test_power_series_invert_takes_a_rational_function_term():
+    t = Polynomial.variable_poly("t")
+    s = PowerSeries([RationalFunction(t), 1, 0])
+    inverse = s.invert()
+    assert [str(c) for c in inverse.coeffs] == ["1 / t", "-1 / t^2", "1 / t^3"]
+    assert s * inverse == PowerSeries.one(2)
+
+
 def test_power_series_shift_round_trip():
     s = PowerSeries([1, 2, 3])
     assert s.shift_up(2).shift_down(2) == s
@@ -467,3 +476,49 @@ def test_only_a_zero_divisor_raises_zero_division_error(op):
 @pytest.mark.parametrize("value", [RationalFunction(_T), PowerSeries.one(2)])
 def test_a_foreign_operand_compares_unequal(value):
     assert value != _FOREIGN
+
+
+@pytest.mark.parametrize(("parts", "scale"), [
+    ([[_T, 1]], None),
+    ([[1, 2], [Fraction(1, 2), _R]], None),
+    ([[Polynomial.one()]], None),
+    ([], 1),
+    ([[]], 1),
+    ([[1, Fraction(1, 6)], [Fraction(-3, 4)]], 12),
+])
+def test_cleared_gives_no_scale_unless_every_part_holds_numbers(parts, scale):
+    cleared, got = _cleared(*parts)
+    assert got == scale
+    if scale is None:
+        assert cleared == tuple(parts)
+    else:
+        assert [[Fraction(c, scale) for c in part] for part in cleared] == parts
+
+
+_S = PowerSeries([1, 2, 3])
+
+
+@pytest.mark.parametrize(("error", "op"), [
+    (TypeError, lambda: Polynomial(["x"], "t")),
+    (ValueError, lambda: Polynomial.monomial("t", -1)),
+    (ValueError, lambda: _T ** -1),
+    (TypeError, lambda: poly_gcd(Polynomial([_R, 1], "x"), Polynomial([1, 1], "x"))),
+    (ZeroDivisionError, lambda: RationalFunction(1, 0)),
+    (ZeroDivisionError, lambda: RationalFunction(0).reciprocal()),
+    (ZeroDivisionError, lambda: _R / 0),
+    (TypeError, lambda: RationalFunction("x")),
+    (ValueError, lambda: _R ** 1.5),
+    (TypeError, lambda: PowerSeries(["x"])),
+    (ZeroDivisionError, lambda: PowerSeries([0, 1]).invert()),
+    (ValueError, lambda: PowerSeries([])),
+    (ValueError, lambda: _S.truncate(_S.order + 1)),
+    (ValueError, lambda: _S ** -1),
+    (ValueError, lambda: _S.shift_up(-1)),
+    (ValueError, lambda: _S.shift_down(-1)),
+    (ValueError, lambda: _S.shift_down(_S.order + 1)),
+    (ValueError, lambda: PowerSeries([1, 1]).shift_down(1)),
+    (ValueError, lambda: _S.compose_monomial(2, 0)),
+])
+def test_ring_input_checks(error, op):
+    with pytest.raises(error):
+        op()

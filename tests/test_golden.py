@@ -181,6 +181,17 @@ COMMANDS = (
         ["hankel", "narayana|aerate", "--n-max", "1", "--offset", "1"],
         ["hankel", "catconv:r=7", "--n-max", "4", "--format", "json"],
     ]
+    # The Q(t) fit past depth 6 and at depths 0, 1 and 2, and polynomial
+    # moments with a denominator.
+    + [
+        ["fit", "narayana-b", "--depth", "8"],
+        ["fit", "narayana|shift:1", "--depth", "6", "--format", "json"],
+        ["fit", "narayana", "--depth", "12"],
+        ["fit", "convpoly:m=4", "--depth", "1"],
+        ["fit", "narayana", "--depth", "0"],
+        ["fit", "narayana|aerate", "--depth", "2"],
+        ["hankel", "narayana|scale:1/2", "--n-max", "6"],
+    ]
     # The JSON report of every id not pinned in JSON above.
     + [
         ["verify", id, "--format", "json"] for id in registry.formula_ids()

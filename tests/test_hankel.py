@@ -214,6 +214,25 @@ def test_elimination_never_divides_by_a_unit_pivot(monkeypatch):
     assert divisors  # catconv:r=5 eliminates, and divides by pivots that are not 1
 
 
+def test_the_chebyshev_rows_skip_each_unit_divisor(monkeypatch):
+    # The catalan minors are all 1, so no row divides; the double-signed
+    # minors are not, so the skip is decided per row.
+    calls = []
+
+    def counting(value, divisor):
+        calls.append(divisor)
+        return exact_divide(value, divisor)
+
+    monkeypatch.setattr("hankelab.hankel.exact_divide", counting)
+    for run, count in ((lambda: det_sequence("catalan", 40), 0),
+                       (lambda: fit_spec("catalan", 20), 0),
+                       (lambda: det_sequence("catalan|double-signed", 32), 841)):
+        calls.clear()
+        run()
+        assert len(calls) == count
+        assert 1 not in calls
+
+
 def test_det_sequence_eliminates_only_past_a_vanishing_minor(monkeypatch):
     # The Chebyshev rows give D_1 up to the first vanishing minor; the
     # Hankel rows go to elimination only when that is short of D_n.  Either

@@ -103,6 +103,15 @@ def test_lgv_refuses_large_orders():
         lgv_bruteforce(-1)
 
 
+@pytest.mark.parametrize("op", [
+    lambda: weighted_triangle_entry(-1, 0),
+    lambda: dual_sum_closed(-1),
+])
+def test_lattice_refuses_a_negative_index(op):
+    with pytest.raises(ValueError):
+        op()
+
+
 def test_dual_sum_blocks():
     assert dual_sum(3, 0) == (0, Polynomial.one())
     shift, block = dual_sum(3, 1)

@@ -87,18 +87,29 @@ def test_fit_over_q_of_t_runs_no_gcd_for_constant_denominators(monkeypatch):
     assert data.t == (Polynomial.parse("t"),) * 19
 
 
+def test_the_field_fit_divides_each_ratio_once(monkeypatch):
+    calls = []
+    divide = ring.RationalFunction.__truediv__
+    monkeypatch.setattr("hankelab.ring.RationalFunction.__truediv__",
+                        lambda a, b: calls.append(1) or divide(a, b))
+    data = fit_spec("narayana", 20)
+    monkeypatch.undo()
+    # r(0), then t(k-1) and r(k) for each of the rows k = 1 .. 19.
+    assert len(calls) == 39 == 2 * (data.depth - 1) + 1
+
+
 def test_rational_moments_never_reach_the_rational_function_loop(monkeypatch):
-    lifted = []
-    lift = orthopoly._lift
-    monkeypatch.setattr(orthopoly, "_lift",
-                        lambda moments: lifted.append(1) or lift(moments))
+    fitted = []
+    fit = orthopoly._fit_field
+    monkeypatch.setattr(orthopoly, "_fit_field",
+                        lambda moments: fitted.append(1) or fit(moments))
     fit_spec("narayana", 3)
-    assert lifted
+    assert fitted
 
     def refuse(moments):
         raise AssertionError("rational moments reached the RationalFunction loop")
 
-    monkeypatch.setattr(orthopoly, "_lift", refuse)
+    monkeypatch.setattr(orthopoly, "_fit_field", refuse)
     for spec in ("catalan|double-signed", "narayana|eval:t=-1/3", "u:r=3"):
         assert moments_from_recurrence(fit_spec(spec, 6), 12) == terms(spec, 12)
     fit_recurrence([1, Fraction(1, 2), 3, Fraction(-7, 5)], 2)
@@ -159,6 +170,20 @@ def test_moments_from_recurrence_bounds():
     data = fit_spec("catalan", 3)
     with pytest.raises(ValueError):
         moments_from_recurrence(data, 7)
+
+
+_JD = fit_spec("catalan", 3)
+
+
+@pytest.mark.parametrize("op", [
+    lambda: aerated_triangle([1], 4),
+    lambda: ortho_value(_JD, _JD.depth + 1, 0),
+    lambda: det_product_formula(_JD, len(_JD.t) + 2),
+    lambda: moment_functional([1, 2], Polynomial.monomial("t", 2)),
+])
+def test_arguments_past_the_data_raise_value_error(op):
+    with pytest.raises(ValueError):
+        op()
 
 
 def test_product_formula_and_shifted_dets():

@@ -236,6 +236,8 @@ def test_binomial_sum_series():
         lhs, rhs = binomial_sum_series(k, 12)
         assert isinstance(lhs, PowerSeries)
         assert lhs == rhs
+    with pytest.raises(ValueError):
+        binomial_sum_series(-1, 3)
 
 
 def test_h_value_is_signed_constant_term():

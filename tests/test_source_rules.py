@@ -10,9 +10,10 @@ code; a layer's first load is safe across threads; only `hankel`
 divides exactly; the registry does not import the fit; one call
 writes all JSON; one decorator holds the ring's operand rule and
 subtraction is addition of the negation; `hankel`
-clears and eliminates from `det_sequence` and `det_exact` only; the
-public names stay what they are; and the names the benchmark tracer wraps stay
-where it looks for them."""
+clears and eliminates from `det_sequence` and `det_exact` only;
+`_cleared` alone says whether the values it clears are numbers; the
+public names stay what they are; and the names the benchmark tracer
+wraps stay where it looks for them."""
 
 from __future__ import annotations
 
@@ -181,6 +182,29 @@ def test_hankel_clears_and_eliminates_from_two_places_only():
                      for caller in ("det_sequence", "det_exact")}
     defined = {node.name for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)}
     assert "_minors" not in defined and "_hankel_rows" not in defined
+
+
+def _functions(module: str) -> dict:
+    tree = ast.parse((PACKAGE / f"{module}.py").read_text())
+    return {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+
+
+def _names(node) -> set:
+    return {getattr(sub, key) for sub in ast.walk(node)
+            for key in ("id", "attr") if hasattr(sub, key)}
+
+
+def test_cleared_alone_decides_whether_the_values_are_numbers():
+    # `_cleared`'s scale is None for ring values, and the Chebyshev entry
+    # points read that verdict rather than test the values again.
+    hankel, orthopoly = _functions("hankel"), _functions("orthopoly")
+    assert not {"kind", "POLYNOMIAL"} & _names(hankel["det_sequence"])
+    assert "_is_scalar" not in _names(hankel["det_exact"])
+    assert "_is_scalar" not in _names(orthopoly["fit_recurrence"])
+    assert "_lift" not in orthopoly
+    args = orthopoly["_fit_field"].args
+    assert len(args.posonlyargs + args.args + args.kwonlyargs) == 1
+    assert args.vararg is None and args.kwarg is None
 
 
 def test_the_core_that_every_command_compiles_holds_only_scalar_code():
