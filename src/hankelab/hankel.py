@@ -17,7 +17,7 @@ from fractions import Fraction
 
 from . import ring
 from .exactnum import _cleared, _Frozen, _is_scalar, _set, exact_divide
-from .sequences import POLYNOMIAL, SequenceSpec, parse_spec, terms
+from .sequences import SequenceSpec, parse_spec, terms
 
 __all__ = [
     "HankelMatrix",
@@ -30,8 +30,10 @@ __all__ = [
 ]
 
 
-def _ring_one(spec: SequenceSpec):
-    return ring.Polynomial.one() if spec.kind == POLYNOMIAL else Fraction(1)
+def _one_of(entries):
+    """The 1 of the entries' ring, an empty determinant's value: a * 0 + 1
+    for the first entry a that is not a number, else Fraction(1)."""
+    return next((a * 0 + 1 for a in entries if not _is_scalar(a)), Fraction(1))
 
 
 def csv_cell(value) -> str:
@@ -228,10 +230,10 @@ def _chebyshev_rows(moments):
 
 
 def det_sequence(spec, n_max: int, offset: int = 0) -> DetSequence:
-    """Determinants of orders 0..n_max at one offset: the pivots of
-    `_chebyshev_rows` on a(offset .. offset+2*n_max-2), then those of
-    `_leading_minors` past a zero pivot.  Numbers are cleared to ints over
-    their lcm L and give Fraction(D_n, L**n); ring values give D_n."""
+    """Determinants D_0..D_n_max at one offset: the 1 of a(offset)'s ring,
+    the pivots of `_chebyshev_rows` on a(offset .. offset+2*n_max-2), then
+    those of `_leading_minors` past a zero pivot.  Numbers are cleared to
+    ints over their lcm L and give Fraction(D_n, L**n); ring values D_n."""
     spec = parse_spec(spec)
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
@@ -241,7 +243,8 @@ def det_sequence(spec, n_max: int, offset: int = 0) -> DetSequence:
         minors = _leading_minors([ints[i:i + n_max] for i in range(n_max)])
     if scale is not None:
         minors = [Fraction(d, scale**n) for n, d in enumerate(minors, 1)]
-    return DetSequence(spec, offset, (_ring_one(spec), *minors))
+    one = _one_of(ints[:1] or _moments(spec, 1, offset))  # a(offset)'s ring
+    return DetSequence(spec, offset, (one, *minors))
 
 
 def _moments(spec: SequenceSpec, n: int, offset: int) -> list:
@@ -259,7 +262,9 @@ def _matrix(matrix, one) -> tuple:
     the ring of the other entries, `RationalFunction` first, so a zero
     taken from a column of numbers is that ring's zero."""
     if isinstance(matrix, HankelMatrix):
-        matrix, one = matrix.rows, _ring_one(matrix.spec)
+        if not matrix.rows:  # order 0: the unit is that of a(offset)'s ring
+            one = _one_of(_moments(matrix.spec, 1, matrix.offset))
+        matrix = matrix.rows
     if any(len(row) != len(matrix) for row in matrix):
         raise ValueError("matrix must be square")
     # The scalar test comes first, so rational rows never run `ring`.

@@ -16,8 +16,8 @@ from __future__ import annotations
 from fractions import Fraction
 
 from . import ring
-from .exactnum import _cleared, _Frozen, _is_scalar, _set
-from .hankel import _chebyshev_rows, csv_table, det_exact, json_table
+from .exactnum import _cleared, _Frozen, _set
+from .hankel import _chebyshev_rows, _one_of, csv_table, det_exact, json_table
 from .sequences import _seeded, terms
 
 __all__ = [
@@ -315,12 +315,7 @@ def pencil_identity_check(moments, n: int, x0) -> PencilCheck:
     need = max(2 * n, 1)
     if len(moments) < need:
         raise ValueError(f"need {need} moments, got {len(moments)}")
-    head = moments[:need]
-    one = Fraction(1)
-    if not all(map(_is_scalar, head)):
-        poly = ring.Polynomial
-        if any(isinstance(m, poly) for m in head):
-            one = poly.one()
+    one = _one_of(moments[:1])
     pencil = [
         [moments[i + j] * x0 - moments[i + j + 1] for j in range(n)]
         for i in range(n)

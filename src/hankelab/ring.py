@@ -127,7 +127,7 @@ class Polynomial:
 
     @classmethod
     def parse(cls, text: str, var: str | None = None) -> "Polynomial":
-        """Inverse of str(): accepts forms like ``1 + 3*t - 2/5*t^3``."""
+        """Inverse of str() for rational coefficients: ``1 + 3*t - 2/5*t^3``."""
         src = text.strip()
         if src in ("", "0"):
             return cls.zero()

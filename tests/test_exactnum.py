@@ -148,6 +148,15 @@ def test_polynomial_parse_rejects_garbage():
         Polynomial.parse("t + x")
 
 
+def test_polynomial_parse_reads_rational_coefficients_only():
+    # str() writes a ring coefficient in parentheses, which parse refuses.
+    x = Polynomial.variable_poly("x")
+    nested = x * RationalFunction(Polynomial.variable_poly("t"))
+    assert str(nested) == "(t)*x"
+    with pytest.raises(ValueError, match="cannot parse polynomial"):
+        Polynomial.parse(str(nested))
+
+
 def test_polynomial_variable_mismatch():
     t = Polynomial.variable_poly("t")
     x = Polynomial.variable_poly("x")

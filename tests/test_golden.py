@@ -197,6 +197,15 @@ COMMANDS = (
         ["verify", id, "--format", "json"] for id in registry.formula_ids()
         if id not in ("eq3.6", "thm7.4", "conj7.5", "conj7.2")
     ]
+    # Order 0: D_0 and the empty LGV matrix, each 1 in its entries' ring.
+    + [
+        ["hankel", "narayana", "--n-max", "0"],
+        ["hankel", "narayana|aerate", "--n-max", "0", "--offset", "1"],
+        ["hankel", "catalan", "--n-max", "0"],
+        ["hankel", "narayana|eval:t=2", "--n-max", "0", "--format", "json"],
+        ["lgv", "--n", "0"],
+        ["lgv", "--n", "0", "--format", "json"],
+    ]
 )
 
 

@@ -449,6 +449,13 @@ def test_pencil_identity_at_order_zero(monkeypatch):
     empty = det_exact(hankel_matrix("narayana", 0))
     assert check.matches
     assert [(type(v), v) for v in (check.lhs, check.rhs)] == [(Polynomial, empty)] * 2
+    # Both sides are 1 in the ring of a(0), as they are at order >= 1.
+    cases = [([RationalFunction(1)], RationalFunction), ([1], Fraction),
+             ([Fraction(1)], Fraction)]
+    for moments, kind in cases:
+        check = pencil_identity_check(moments, 0, Fraction(0))
+        assert check.matches
+        assert [type(check.lhs), type(check.rhs)] == [kind, kind]
 
     def no_fit(*args):
         raise AssertionError("the guard should refuse before the fit runs")

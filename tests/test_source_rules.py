@@ -207,6 +207,20 @@ def test_cleared_alone_decides_whether_the_values_are_numbers():
     assert args.vararg is None and args.kwarg is None
 
 
+def test_the_entries_alone_name_a_determinants_one():
+    # D_0 and an empty matrix are 1 in their entries' ring, which
+    # `_one_of` reads; the determinant layer learns a spec only through
+    # its terms, and the pencil check runs no type test of its own.
+    tree = ast.parse((PACKAGE / "hankel.py").read_text())
+    hankel, orthopoly = _functions("hankel"), _functions("orthopoly")
+    imported = {alias.name for alias in ast.walk(tree) if isinstance(alias, ast.alias)}
+    assert not {"kind", "POLYNOMIAL", "_ring_one"} & (_names(tree) | imported | set(hankel))
+    pencil = orthopoly["pencil_identity_check"]
+    assert not {"_is_scalar", "Polynomial"} & _names(pencil)
+    for caller in (hankel["det_sequence"], hankel["_matrix"], pencil):
+        assert "_one_of" in _names(caller)
+
+
 def test_the_core_that_every_command_compiles_holds_only_scalar_code():
     # Structured values (polynomials, rational functions, power series)
     # are `ring`'s, which only commands with such values compile.
