@@ -3,10 +3,11 @@
 The matrix for a sequence a and offset m has entry(i, j) = a(i + j + m).
 Determinants are computed fraction-free so every intermediate stays in the
 ring the entries come from (integers, `Fraction` or `Polynomial`).
-`det_sequence` clears the moments a(m .. m+2n-2) once and reads D_1..D_n
-off the pivots of Chebyshev's moment rows, `_chebyshev_rows`, which the
-fit reads too; past a vanishing minor, and in `det_exact`, one
-elimination pass, `_leading_minors`, gives them.
+`det_sequence` clears the moments a(m .. m+2n-2) once and reads D_1..D_n,
+zeros included, off the leads of Chebyshev's moment rows,
+`_chebyshev_rows`, which step over runs of vanishing minors and which the
+fit reads too; `det_exact`, whose rows need not be Hankel, eliminates
+(`_det`).
 `det_cofactor` (cofactor expansion, no division) is the independent
 oracle; the tests keep Bareiss elimination and determinants mod p too.
 """
@@ -127,16 +128,15 @@ def det_exact(matrix, one=None):
 
     Accepts a HankelMatrix or a plain list of rows; `one`, the value of
     the empty matrix, is inferred from a HankelMatrix.  A singular matrix
-    gives its ring's zero.  The value is D_n of `_leading_minors`, whose
-    look-ahead adds a row i < n to a row above, which keeps every minor of
-    order above i.  Numbers are cleared to ints over their lcm L and give
+    gives its ring's zero.  The value is D_n of `_det`, one fraction-free
+    elimination.  Numbers are cleared to ints over their lcm L and give
     Fraction(D_n, L**n); ring values (`_cleared`'s scale None) give D_n.
     """
     rows, one = _matrix(matrix, one)
     if not rows:
         return one
     ints, scale = _cleared(*rows)
-    det = _leading_minors(ints)[-1]
+    det = _det(ints)
     return det if scale is None else Fraction(det, scale**len(rows))
 
 
@@ -158,36 +158,20 @@ def det_cofactor(rows, one=None):
     return total
 
 
-def _leading_minors(rows) -> list:
-    """Leading principal minors D_1..D_n of a square matrix in one pass.
-
-    Fraction-free elimination without row exchanges, each entry adding a
-    signed product: by Sylvester's identity the pivot of step k is D_{k+1}.
-    A zero pivot whose column has its first nonzero entry below in row i
-    means D_{k+1}..D_i vanish (the trailing block starts with a zero
-    column).  Adding row i to row k keeps every minor of order above i and
-    gives a nonzero pivot, so the pass goes on; orders up to the largest
-    such i are reported as 0.  A column zero from row k down makes every
-    remaining minor 0.  Each zero is taken from the matrix, so it has the
-    type of its entries (`_matrix` gives numbers the ring of the others).
-    """
+def _det(rows):
+    """Determinant of a nonempty square matrix by fraction-free elimination,
+    each entry dividing exactly by the previous pivot unless it is 1.  A zero
+    pivot's row gains the first row below that is nonzero in its column; a
+    column zero from the pivot down gives that zero, of the entries' type."""
     work = [list(row) for row in rows]
-    n = len(work)
-    out = []
     prev = 1
-    zero_until = 0
-    for k in range(n):
-        pivot_row = work[k]
+    for k, pivot_row in enumerate(work):
         if not pivot_row[k]:
-            below = next((i for i in range(k + 1, n) if work[i][k]), None)
+            below = next((row for row in work[k + 1:] if row[k]), None)
             if below is None:
-                return out + [pivot_row[k]] * (n - k)
-            zero_until = max(zero_until, below)
-            pivot_row[k:] = [a + b for a, b in zip(pivot_row[k:], work[below][k:])]
-        pivot = pivot_row[k]
-        out.append(pivot if k >= zero_until else pivot * 0)
-        tail = pivot_row[k + 1:]
-        unit = prev == 1
+                return pivot_row[k]
+            pivot_row[k:] = [a + b for a, b in zip(pivot_row[k:], below[k:])]
+        pivot, tail, unit = pivot_row[k], pivot_row[k + 1:], prev == 1
         for row in work[k + 1:]:
             left = -row[k]
             cross = [pivot * a + left * b for a, b in zip(row[k + 1:], tail)]
@@ -195,52 +179,67 @@ def _leading_minors(rows) -> list:
             # elimination scheme; a remainder means a bug, not bad input.
             row[k + 1:] = cross if unit else [exact_divide(c, prev) for c in cross]
         prev = pivot
-    return out
+    return prev
 
 
 def _chebyshev_rows(moments):
-    """Fraction-free rows tau[0] (the moments), tau[1], ... of Chebyshev's
-    moment algorithm, through the first whose pivot tau[k][k] is 0.
-
-    Row k holds the bordered Hankel minors tau[k][l] at their own index
-    l = k .. len(moments)-1-k, and its pivot is D_(k+1); tau[-1] is zero.
-    With A = D_k, C = D_(k-1), D_0 = 1, B = tau[k-1][k], E = tau[k-2][k-1]:
-
-        tau[k][l] = (A*C*tau[k-1][l+1] + (E*A - B*C)*tau[k-1][l]
-                     - A**2*tau[k-2][l]) / C**2
-
-    The division is exact, and skipped when C**2 is 1, as in elimination;
-    ints and `Polynomial`s run the same code.
-    """
-    width = len(moments)
-    older, row, c = [0] * width, moments, 1
-    for k in range((width + 1) // 2):
-        if k:
-            a, b, e = row[k - 1], row[k], older[k - 1]
-            # Signed coefficients: a ring subtraction would negate each entry.
-            step, shift, drop, csq = a * c, e * a - b * c, -(a * a), c * c
-            new = [0] * (width - k)
-            for l in range(k, width - k):
-                value = step * row[l + 1] + shift * row[l] + drop * older[l]
-                new[l] = value if csq == 1 else exact_divide(value, csq)
-            older, row, c = row, new, a
-        yield row
-        if not row[k]:
+    """One row per order n = 1 .. (len(moments)+1)//2, led by D_n: the
+    fraction-free rows of Chebyshev's moment algorithm, read as the signed
+    subresultants of x^w and a(0) x^(w-1) + ... + a(w-1), w = len(moments)
+    (Basu, Pollack and Roy, 2006), leading coefficient first.  A row whose
+    first nonzero entry b follows gap-1 zeros gives gap-1 zero minors, then
+    m = e * b**gap / s**(gap-1) (as [m]; at gap 1 m = b, and the row is
+    yielded), with s the last nonzero minor and e = (-1)**(gap*(gap-1)/2).
+    The next row is (q*row - b**(gap+1)*older) / (e * s**gap * c), with c
+    leading `older` and q the gap+1 quotient coefficients of the pseudo-
+    division of older by row; at gap 1 it is Chebyshev's step (README).
+    Divisions are exact, and skipped when the divisor is 1."""
+    orders = (len(moments) + 1) // 2
+    older, row, s, c = [1] + [0] * len(moments), moments, 1, 1
+    while orders:
+        gap = 1
+        while not row[gap - 1]:  # each zero ahead of b is a zero minor
+            yield row
+            if gap == orders:
+                return
+            gap += 1
+        row, b, negate = row[gap - 1:], row[gap - 1], gap % 4 in (2, 3)
+        power, below = b ** gap, s ** (gap - 1)
+        m = power if below == 1 else exact_divide(power, below)
+        m = -m if negate else m
+        yield row if gap == 1 else [m]
+        orders -= gap
+        if not orders:
             return
+        # Pseudo-division on the first gap+1 entries: q[i] = b**(gap-i) * u[i].
+        u = older[:gap + 1]
+        for i in range(gap):
+            for j in range(i + 1, gap + 1):
+                u[j] = b * u[j] - u[i] * row[j - i]
+        # Signed coefficients: a ring subtraction would negate each entry.
+        step, shift, drop = b * u[-2], u[-1], -(power * b)
+        new = [shift * x + step * y + drop * z
+               for x, y, z in zip(row[1:], row[2:], older[gap + 1:])]
+        for i in range(gap - 1):
+            coeff = b ** (gap - i) * u[i]
+            new = [v + coeff * x for v, x in zip(new, row[gap + 1 - i:])]
+        divisor = s ** gap * c
+        divisor = -divisor if negate else divisor
+        if divisor != 1:
+            new = [exact_divide(v, divisor) for v in new]
+        older, row, s, c = row, new, m, b
 
 
 def det_sequence(spec, n_max: int, offset: int = 0) -> DetSequence:
     """Determinants D_0..D_n_max at one offset: the 1 of a(offset)'s ring,
-    the pivots of `_chebyshev_rows` on a(offset .. offset+2*n_max-2), then
-    those of `_leading_minors` past a zero pivot.  Numbers are cleared to
-    ints over their lcm L and give Fraction(D_n, L**n); ring values D_n."""
+    then the leads of the `_chebyshev_rows` of a(offset .. offset+2*n_max-2).
+    Numbers are cleared to ints over their lcm L and give Fraction(D_n,
+    L**n); ring values D_n."""
     spec = parse_spec(spec)
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
     (ints,), scale = _cleared(_moments(spec, n_max, offset))
-    minors = [row[k] for k, row in enumerate(_chebyshev_rows(ints))]
-    if len(minors) < n_max:
-        minors = _leading_minors([ints[i:i + n_max] for i in range(n_max)])
+    minors = [row[0] for row in _chebyshev_rows(ints)]
     if scale is not None:
         minors = [Fraction(d, scale**n) for n, d in enumerate(minors, 1)]
     one = _one_of(ints[:1] or _moments(spec, 1, offset))  # a(offset)'s ring

@@ -152,17 +152,17 @@ def _fit_field(moments: list):
 
 def _fit_integers(moments: list):
     """s(k) = r(k) - r(k-1) and t(k-1) = D_(k+1) D_(k-1) / D_k**2 off the
-    rows tau of `hankel._chebyshev_rows`, where D_(k+1) = tau[k][k],
+    rows tau[k][k:] of `hankel._chebyshev_rows`, led by D_(k+1) = tau[k][k],
     r(k) = tau[k][k+1] / D_(k+1) and r(-1) = 0; neither changes with scale."""
     s, t = [], []
     c, a, r = 1, 1, 0  # D_(k-1), D_k and r(k-1)
     for k, row in enumerate(_chebyshev_rows(moments)):
-        pivot = row[k]
+        pivot = row[0]
         if not pivot:
             raise ZeroHankelMinorError(k + 1)
         if k:
             t.append(Fraction(pivot * c, a * a))
-        ratio = Fraction(row[k + 1], pivot)
+        ratio = Fraction(row[1], pivot)
         s.append(ratio - r)
         c, a, r = a, pivot, ratio
     return s, t

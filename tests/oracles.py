@@ -1,14 +1,15 @@
 """Test-side references.
 
 The determinant oracle is Bareiss elimination with row exchanges, one
-matrix at a time.  It shares no code with `hankel._leading_minors`
-(which never exchanges rows and reads every leading minor off one pass)
-or with `hankel._chebyshev_rows` (which reads them off the fraction-free
-rows of Chebyshev's moment algorithm), so they can be checked against
-each other.  `modular_dets` reaches larger orders: Gaussian elimination
-with row exchanges over F_p, with polynomial entries evaluated at a
-point.  A wrong D_n agrees with it mod p at a random point with
-probability at most deg(D_n)/p (Schwartz-Zippel).
+matrix at a time.  It shares no code with `hankel._det` (which adds a
+row below to a zero pivot's row instead of exchanging them) or with
+`hankel._chebyshev_rows` (which reads every leading minor, zeros
+included, off the fraction-free rows of Chebyshev's moment algorithm),
+so they can be checked against each other.  `modular_dets` reaches
+larger orders: Gaussian elimination with row exchanges over F_p, with
+polynomial entries evaluated at a point.  A wrong D_n agrees with it mod
+p at a random point with probability at most deg(D_n)/p
+(Schwartz-Zippel).
 
 The J-fraction references are the paper's explicit recurrence
 coefficients and the orthogonal-polynomial values they give at 0

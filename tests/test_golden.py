@@ -206,6 +206,16 @@ COMMANDS = (
         ["lgv", "--n", "0"],
         ["lgv", "--n", "0", "--format", "json"],
     ]
+    # Runs of vanishing minors: blocks of 2 to 5 zeros, over Z and Z[t],
+    # and catconv:r=3 at orders where elimination was the slow path.
+    + [
+        ["hankel", "catconv:r=3|aerate|aerate", "--n-max", "24"],
+        ["hankel", "catalan|aerate|aerate", "--n-max", "24", "--offset", "1"],
+        ["hankel", "narayana|aerate|aerate", "--n-max", "9", "--offset", "1"],
+        ["hankel", "catalan|double-signed|aerate", "--n-max", "40", "--offset", "1"],
+        ["hankel", "catconv:r=3", "--n-max", "120"],
+        ["hankel", "catconv:r=3", "--n-max", "300"],
+    ]
 )
 
 

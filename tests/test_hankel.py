@@ -1,8 +1,9 @@
-"""The one-pass leading-minor kernel and `det_exact` on top of it, and
-`det_sequence`, which clears its moment list once, reads the Chebyshev
-rows and eliminates only past a vanishing minor, against the cofactor and
-Bareiss oracles; the ring of a zero in rows that mix numbers and symbolic
-entries; plus matrix shape and serialization checks."""
+"""The Chebyshev rows, which step over runs of vanishing minors, and
+`det_sequence`, which clears its moment list once and reads them with no
+elimination; the elimination kernel `_det` and `det_exact` on top of it;
+all against the cofactor and Bareiss oracles; the ring of a zero in rows
+that mix numbers and symbolic entries; plus matrix shape and
+serialization checks."""
 
 from __future__ import annotations
 
@@ -14,8 +15,9 @@ import pytest
 
 from hankelab.exactnum import Polynomial, RationalFunction, exact_divide
 from hankelab.hankel import (
+    _chebyshev_rows,
     _cleared,
-    _leading_minors,
+    _det,
     csv_cell,
     csv_table,
     det_cofactor,
@@ -46,42 +48,53 @@ def _random_poly_rows(rng: random.Random, order: int) -> list:
     return [[cell() for _ in range(order)] for _ in range(order)]
 
 
-# Sparse entries make about a third of the leading minors vanish, so the
-# kernel's look-ahead past zero pivots runs on most matrices.
+# Sparse entries make about a third of the minors vanish, often several in
+# a row, so the rows' step over zero minors and the elimination's zero
+# pivots run on most draws.
 SPARSE_INTS = (-1, 0, 0, 0, 1, 2)
 _T = Polynomial.variable_poly("t")
 SPARSE_POLYS = tuple(Polynomial.constant(c) for c in (-1, 0, 0, 0)) + (_T, _T + 1)
-
-
-def _sparse_rows(rng: random.Random, order: int, pool, hankel: bool) -> list:
-    if hankel:
-        seq = [rng.choice(pool) for _ in range(2 * order - 1)]
-        return [[seq[i + j] for j in range(order)] for i in range(order)]
-    return [[rng.choice(pool) for _ in range(order)] for _ in range(order)]
-
-
-@pytest.mark.parametrize("hankel", [True, False], ids=["hankel", "general"])
-@pytest.mark.parametrize("pool, one, trials, max_order", [
+POOLS = pytest.mark.parametrize("pool, one, trials, max_order", [
     (SPARSE_INTS, 1, 300, 9),
     (SPARSE_POLYS, Polynomial.one(), 40, 7),
 ], ids=["int", "polynomial"])
-def test_leading_minors_match_per_order_oracles(hankel, pool, one, trials, max_order):
-    rng = random.Random(f"{hankel}:{max_order}")
+
+
+@POOLS
+def test_chebyshev_rows_match_per_order_oracles(pool, one, trials, max_order):
+    # Odd widths are det_sequence's, even ones the fit's.
+    rng = random.Random(f"rows:{max_order}")
     minors_seen = zeros_seen = 0
     for _ in range(trials):
-        rows = _sparse_rows(rng, rng.randint(1, max_order), pool, hankel)
-        minors = _leading_minors(rows)
-        assert len(minors) == len(rows)
+        seq = [rng.choice(pool) for _ in range(rng.randint(1, 2 * max_order))]
+        minors = [row[0] for row in _chebyshev_rows(seq)]
+        assert len(minors) == (len(seq) + 1) // 2
         for n, value in enumerate(minors, 1):
-            block = [row[:n] for row in rows[:n]]
+            block = [seq[i:i + n] for i in range(n)]
             expected = bareiss_det(block, one)
-            assert value == expected, (rows, n)
-            assert type(value) is type(expected), (rows, n)
+            assert value == expected, (seq, n)
+            assert type(value) is type(expected), (seq, n)
             if n <= 5:
-                assert value == det_cofactor(block, one), (rows, n)
+                assert value == det_cofactor(block, one), (seq, n)
         minors_seen += len(minors)
         zeros_seen += sum(1 for value in minors if not value)
     assert zeros_seen > minors_seen // 5
+
+
+@POOLS
+def test_det_matches_the_oracle(pool, one, trials, max_order):
+    rng = random.Random(f"det:{max_order}")
+    zeros_seen = 0
+    for _ in range(trials):
+        order = rng.randint(1, max_order)
+        rows = [[rng.choice(pool) for _ in range(order)] for _ in range(order)]
+        value, expected = _det(rows), bareiss_det(rows, one)
+        assert value == expected, rows
+        assert type(value) is type(expected), rows
+        if order <= 5:
+            assert value == det_cofactor(rows, one), rows
+        zeros_seen += not value
+    assert zeros_seen > trials // 5
 
 
 @pytest.mark.parametrize("spec, n_max, offset", [
@@ -207,11 +220,13 @@ def test_elimination_never_divides_by_a_unit_pivot(monkeypatch):
         return exact_divide(value, divisor)
 
     monkeypatch.setattr("hankelab.hankel.exact_divide", recording)
-    for spec, n_max in (("catalan", 12), ("narayana", 6), ("catconv:r=5", 12)):
+    for run in (lambda: det_sequence("catalan", 12), lambda: det_sequence("narayana", 6),
+                lambda: det_sequence("catconv:r=5", 12),
+                lambda: det_exact(hankel_matrix("catconv:r=5", 12))):
         divisors.clear()
-        det_sequence(spec, n_max)
-        assert not any(d == 1 for d in divisors), spec
-    assert divisors  # catconv:r=5 eliminates, and divides by pivots that are not 1
+        run()
+        assert not any(d == 1 for d in divisors)
+    assert divisors  # det_exact eliminates, and divides by pivots that are not 1
 
 
 def test_the_chebyshev_rows_skip_each_unit_divisor(monkeypatch):
@@ -233,44 +248,36 @@ def test_the_chebyshev_rows_skip_each_unit_divisor(monkeypatch):
         assert 1 not in calls
 
 
-def test_det_sequence_eliminates_only_past_a_vanishing_minor(monkeypatch):
-    # The Chebyshev rows give D_1 up to the first vanishing minor; the
-    # Hankel rows go to elimination only when that is short of D_n.  Either
-    # way the moments are cleared once.
-    calls, clearings = [], []
+def test_det_sequence_never_eliminates(monkeypatch):
+    # The Chebyshev rows give every D_n, the zero ones too, so the moments
+    # are cleared once and nothing reaches elimination.
+    clearings = []
 
-    def recording(rows):
-        calls.append(len(rows))
-        return _leading_minors(rows)
+    def refusing(rows):
+        raise AssertionError("det_sequence eliminated")
 
     def counting(*parts):
         clearings.append(len(parts))
         return _cleared(*parts)
 
-    monkeypatch.setattr("hankelab.hankel._leading_minors", recording)
+    monkeypatch.setattr("hankelab.hankel._det", refusing)
     monkeypatch.setattr("hankelab.hankel._cleared", counting)
     for args in (("catalan", 40), ("catalan|double-signed", 32),
-                 ("u:r=3|double-signed", 24), ("narayana", 8), ("convpoly:m=4", 8)):
+                 ("u:r=3|double-signed", 24), ("narayana", 8), ("convpoly:m=4", 8),
+                 ("catconv:r=5", 16), ("catalan|double-signed|aerate", 16, 1),
+                 ("catconv:r=3", 120)):
         clearings.clear()
         det_sequence(*args)
-        assert calls == [], args
         assert clearings == [1], args
-    # Here the first vanishing minor is the last one asked for: the rows
-    # stop on its zero pivot, which is that minor.
-    for spec, n_max, *offset in (("catconv:r=3", 2), ("catconv:r=7", 4),
-                                 ("fibonacci", 1), ("narayana|aerate", 1, 1)):
+    # Single zeros and runs of 2 to 4; a(0) = 0 for fibonacci.
+    for spec, n_max, *offset in (("catconv:r=3", 6), ("catconv:r=7", 6),
+                                 ("catconv:r=3|aerate|aerate", 7),
+                                 ("catalan|aerate|aerate", 7, 1),
+                                 ("narayana|aerate|aerate", 5, 1),
+                                 ("fibonacci", 6), ("narayana|aerate", 5, 1)):
         values = det_sequence(spec, n_max, *offset).values
-        assert calls == [], spec
         oracle = [det_cofactor(hankel_matrix(spec, n, *offset)) for n in range(n_max + 1)]
         assert [(type(v), str(v)) for v in values] == [(type(v), str(v)) for v in oracle]
-    # a(0) = 0 for fibonacci; the others have zero minors further on.
-    for args in (("catconv:r=5", 16), ("catalan|double-signed|aerate", 16, 1),
-                 ("fibonacci", 4), ("narayana|aerate", 8, 1)):
-        calls.clear()
-        clearings.clear()
-        det_sequence(*args)
-        assert calls == [args[1]], args
-        assert clearings == [1], args
 
 
 def test_bareiss_matches_cofactor_integer_trials():

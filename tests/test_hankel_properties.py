@@ -1,12 +1,12 @@
-"""Differential property over the spec grammar: every determinant the
-package computes comes from the fraction-free Chebyshev rows or, past a
-vanishing minor, from the elimination kernel, so it is held to two
-oracles that share no code with either, the Bareiss elimination with row
-exchanges in `oracles.py` and cofactor expansion.
+"""Differential property over the spec grammar: every Hankel determinant
+the package computes comes from the fraction-free Chebyshev rows (in
+`det_sequence`) or the elimination kernel (in `det_exact`), so it is held
+to two oracles that share no code with either, the Bareiss elimination
+with row exchanges in `oracles.py` and cofactor expansion.
 
 Specs are a family with up to two transforms.  The explicit examples pin
-specs with vanishing minors, which drive the kernel's zero-pivot
-look-ahead and the fit's zero-minor exit.
+specs with vanishing minors, which drive the rows' step over zero minors,
+the elimination's zero pivots and the fit's zero-minor exit.
 
 Every family, at offsets 0 and 1, is also held to determinants mod the
 prime 2^61 - 1 (`oracles.modular_dets`) up to order 40, or 20 for a
@@ -151,12 +151,14 @@ def test_terms_are_prefixes_of_longer_runs(case):
 PRIME = 2**61 - 1
 POINTS = st.integers(1, PRIME - 1)
 # Every family; catconv:r=3 and r=5, fibonacci (a(0) = 0), lucas and
-# f-number, and the aerated specs at offset 1 have vanishing minors.
+# f-number, and the aerated specs at offset 1 have vanishing minors.  The
+# twice-aerated specs have runs of 2 to 5 of them, over Z and Z[t].
 MODULAR_SPECS = [
     "catalan", "central-binomial", "catconv:r=3", "catconv:r=5", "u:r=3",
     "u:r=3|double-signed", "fibonacci", "lucas", "f-number:r=2",
     "catalan|double-signed|aerate", "catalan|scale:1/3",
     "narayana", "narayana-b", "convpoly:m=4", "narayana|aerate",
+    "catconv:r=3|aerate|aerate", "catalan|aerate|aerate", "narayana|aerate|aerate",
 ]
 
 
@@ -173,7 +175,8 @@ def _mismatches(values, rows, point):
 
 
 @settings(max_examples=20)
-@given(st.sampled_from([("narayana", 0), ("catconv:r=5", 0), ("catalan", 1)]), POINTS,
+@given(st.sampled_from([("narayana", 0), ("catconv:r=5", 0), ("catalan", 1),
+                        ("catconv:r=3|aerate|aerate", 0)]), POINTS,
        st.data())
 def test_the_modular_oracle_finds_a_planted_one_coefficient_error(case, point, data):
     values, rows = _modular_case(*case)

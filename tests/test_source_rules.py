@@ -167,21 +167,23 @@ def test_only_hankel_divides_exactly():
 
 
 def test_hankel_clears_and_eliminates_from_two_places_only():
-    # `det_sequence` clears its moments once and `det_exact` its rows once;
-    # they are the only callers of the clearing and of the elimination, so
-    # no wrapper clears again or patches the ring of a zero afterwards.
+    # `det_sequence` clears its moments once and reads every minor off the
+    # Chebyshev rows; `det_exact` clears its rows once and is the one caller
+    # of the elimination.  No wrapper clears again, patches the ring of a
+    # zero afterwards, or keeps a second kernel for leading minors.
     tree = ast.parse((PACKAGE / "hankel.py").read_text())
     found = {
         (node.func.id, top.name)
         for top in tree.body
         for node in ast.walk(top)
         if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
-        and node.func.id in ("_cleared", "_leading_minors")
+        and node.func.id in ("_cleared", "_det")
     }
-    assert found == {(name, caller) for name in ("_cleared", "_leading_minors")
-                     for caller in ("det_sequence", "det_exact")}
+    assert found == {("_cleared", "det_sequence"), ("_cleared", "det_exact"),
+                     ("_det", "det_exact")}
     defined = {node.name for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)}
-    assert "_minors" not in defined and "_hankel_rows" not in defined
+    assert defined.isdisjoint({"_minors", "_hankel_rows", "_leading_minors"})
+    assert "zero_until" not in _names(tree)
 
 
 def _functions(module: str) -> dict:
