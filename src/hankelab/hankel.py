@@ -193,38 +193,53 @@ def _chebyshev_rows(moments):
     The next row is (q*row - b**(gap+1)*older) / (e * s**gap * c), with c
     leading `older` and q the gap+1 quotient coefficients of the pseudo-
     division of older by row; at gap 1 it is Chebyshev's step (README).
-    Divisions are exact, and skipped when the divisor is 1."""
+    x^w is `older` only as its leading 1, since no product by its zeros is
+    made.  Divisions are exact, and skipped when the divisor is 1."""
     orders = (len(moments) + 1) // 2
-    older, row, s, c = [1] + [0] * len(moments), moments, 1, 1
+    older, row, s, c = [1], moments, 1, 1
     while orders:
-        gap = 1
-        while not row[gap - 1]:  # each zero ahead of b is a zero minor
+        b, gap = row[0], 1
+        while not b:  # each zero ahead of b is a zero minor
             yield row
             if gap == orders:
                 return
-            gap += 1
-        row, b, negate = row[gap - 1:], row[gap - 1], gap % 4 in (2, 3)
-        power, below = b ** gap, s ** (gap - 1)
-        m = power if below == 1 else exact_divide(power, below)
-        m = -m if negate else m
-        yield row if gap == 1 else [m]
+            b, gap = row[gap], gap + 1
+        if gap == 1:
+            m = b
+            yield row
+        else:
+            row, power, below = row[gap - 1:], b ** gap, s ** (gap - 1)
+            m = power if below == 1 else exact_divide(power, below)
+            m = -m if gap % 4 in (2, 3) else m
+            yield [m]
         orders -= gap
         if not orders:
             return
-        # Pseudo-division on the first gap+1 entries: q[i] = b**(gap-i) * u[i].
-        u = older[:gap + 1]
-        for i in range(gap):
-            for j in range(i + 1, gap + 1):
-                u[j] = b * u[j] - u[i] * row[j - i]
+        if gap == 1:  # q = (b c, b E - c B), with E = older[1] and B = row[1]
+            step, drop, divisor = b * c, -(b * b), s * c
+            shift = b * older[1] - c * row[1] if len(older) > 1 else -row[1]
+        else:
+            # Pseudo-division on the first gap+1 entries: q[i] = b**(gap-i) * u[i].
+            u = older[:gap + 1]
+            for i in range(gap):
+                for j in range(i + 1, gap + 1):
+                    if j < len(u):
+                        u[j] = b * u[j] - u[i] * row[j - i]
+                    else:  # past x^w's lead, where b * 0 is not made
+                        u.append(-(u[i] * row[j - i]))
+            step, shift, drop = b * u[-2], u[-1], -(power * b)
+            divisor = s ** gap * c
+            divisor = -divisor if gap % 4 in (2, 3) else divisor
         # Signed coefficients: a ring subtraction would negate each entry.
-        step, shift, drop = b * u[-2], u[-1], -(power * b)
-        new = [shift * x + step * y + drop * z
-               for x, y, z in zip(row[1:], row[2:], older[gap + 1:])]
+        size = range(1, len(row) - gap)
+        if len(older) > 1:
+            new = [shift * row[l] + step * row[l + 1] + drop * older[l + gap]
+                   for l in size]
+        else:  # older is x^w, whose entries past the lead are zeros
+            new = [shift * row[l] + step * row[l + 1] for l in size]
         for i in range(gap - 1):
             coeff = b ** (gap - i) * u[i]
-            new = [v + coeff * x for v, x in zip(new, row[gap + 1 - i:])]
-        divisor = s ** gap * c
-        divisor = -divisor if negate else divisor
+            new = [v + coeff * row[l + gap + 1 - i] for l, v in enumerate(new)]
         if divisor != 1:
             new = [exact_divide(v, divisor) for v in new]
         older, row, s, c = row, new, m, b

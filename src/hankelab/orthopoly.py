@@ -113,28 +113,28 @@ def fit_recurrence(moments, depth: int) -> JacobiData:
     if moments[0] != 1:
         raise ValueError("fitting needs a leading moment equal to 1")
     (head,), scale = _cleared(moments[: 2 * depth])
-    if scale is None:
-        rf = ring.RationalFunction
-        s, t = _fit_field([m if isinstance(m, rf) else rf(m) for m in head])
-    else:
-        s, t = _fit_integers(head)
+    s, t = _fit_integers(head) if scale is not None else _fit_field(head)
     return JacobiData(tuple(s), tuple(t))
 
 
 def _fit_field(moments: list):
-    """Chebyshev's moment algorithm over a field, to depth len(moments) // 2.
+    """Chebyshev's moment algorithm over Q(t), to depth len(moments) // 2.
 
     sigma[k][l] is the functional applied to p(k, x) * x^l, for l = k ..
     width-1-k at its natural index.  Row k is row k-1 shifted plus -s(k-1)
     times row k-1 and -t(k-2) times row k-2; s(k) = r(k) - r(k-1), where
     r(k) = sigma[k][k+1] / sigma[k][k] is carried, so it is divided once.
+    s and t are `RationalFunction`s, and each ratio is one division of
+    them.  The rows multiply by the numerator of -s(k-1) or -t(k-2) when
+    its denominator is 1, so polynomial rows stay polynomials; one that is
+    not makes its row `RationalFunction`s.
     """
     width = len(moments)
     older, prev = None, moments
-    r = moments[1] / moments[0]
+    r = _quotient(moments[1], moments[0])
     s, t = [r], []
     for k in range(1, width // 2):
-        shift, drop = -s[k - 1], -t[k - 2] if k >= 2 else None
+        shift, drop = _factor(-s[k - 1]), _factor(-t[k - 2]) if k >= 2 else None
         row = [None] * (width - k)
         for l in range(k, width - k):
             value = prev[l + 1] + shift * prev[l]
@@ -143,11 +143,22 @@ def _fit_field(moments: list):
             row[l] = value
         if not row[k]:
             raise ZeroHankelMinorError(k + 1)
-        t.append(row[k] / prev[k - 1])
-        ratio = row[k + 1] / row[k]
+        t.append(_quotient(row[k], prev[k - 1]))
+        ratio = _quotient(row[k + 1], row[k])
         s.append(ratio - r)
         older, prev, r = prev, row, ratio
     return s, t
+
+
+def _quotient(a, b) -> ring.RationalFunction:
+    """a / b in Q(t), for row entries that may be polynomials."""
+    rf = ring.RationalFunction
+    return (a if isinstance(a, rf) else rf(a)) / b
+
+
+def _factor(value: ring.RationalFunction):
+    """A row factor: the numerator of a value with denominator 1."""
+    return value.num if value.den.degree == 0 else value
 
 
 def _fit_integers(moments: list):

@@ -2,10 +2,13 @@
 
 A polynomial over Q is stored as int numerators over one positive int
 denominator, and every ring operation runs on those ints; `Fraction`s
-appear only at the API edge (`Polynomial.coeffs`).  A coefficient may also
-be a `RationalFunction` in some *other* variable, which is how mixed values
-(polynomials in x with coefficients in Q(t)) are handled without a full
-multivariate layer; such coefficients stay objects, over 1, in the same loops.
+appear only at the API edge (`Polynomial.coeffs`).  Two factors with at
+least `_PACKED_MIN` numerators each multiply as one big int (Kronecker
+substitution, `_packed_product`), so CPython's Karatsuba does the work of
+the schoolbook loop.  A coefficient may also be a `RationalFunction` in
+some *other* variable, which is how mixed values (polynomials in x with
+coefficients in Q(t)) are handled without a full multivariate layer; such
+coefficients stay objects, over 1, in the schoolbook loops.
 A `PowerSeries` coefficient is a `Fraction`, a `Polynomial` or a
 `RationalFunction`.
 
@@ -227,10 +230,13 @@ class Polynomial:
     def __mul__(self, rhs):
         var = self._join(self.var, rhs.var)
         a, b = self.nums, rhs.nums
-        out = [0] * (len(a) + len(b) - 1)
-        for i, x in enumerate(a):
-            for j, y in enumerate(b):
-                out[i + j] += x * y
+        if min(len(a), len(b)) >= _PACKED_MIN and _ints(a) and _ints(b):
+            out = _packed_product(a, b)
+        else:
+            out = [0] * (len(a) + len(b) - 1)
+            for i, x in enumerate(a):
+                for j, y in enumerate(b):
+                    out[i + j] += x * y
         return _make(out, self.den * rhs.den, var)
 
     __rmul__ = __mul__
@@ -340,6 +346,51 @@ class Polynomial:
         return f"Polynomial({str(self)!r})"
 
 
+# Two factors of at least this many int numerators each are multiplied as
+# one big int; shorter factors, and `RationalFunction` coefficients, take
+# the schoolbook loop.
+_PACKED_MIN = 8
+
+
+def _ints(nums) -> bool:
+    """Whether every numerator is a plain int (as `_cleared` makes them)."""
+    return set(map(type, nums)) <= {int}
+
+
+def _packed_product(a, b) -> list:
+    """The coefficients of the product of the int lists a and b, from one
+    big-int product (Kronecker substitution: von zur Gathen and Gerhard,
+    *Modern Computer Algebra*, 8.4).  Each list is packed at x = 2^w, with
+    w whole bytes, wide enough for max|a| max|b| min(len) and a sign bit,
+    so no coefficient spills into the next slot (a zero max counts as 1, so
+    that each factor fits too); a bias of 2^(w-1) in each slot makes every
+    slot nonnegative, and `int.to_bytes` cuts them apart."""
+    top = (max(map(abs, a)) or 1) * (max(map(abs, b)) or 1)
+    size = (top * min(len(a), len(b))).bit_length() // 8 + 1
+    count = len(a) + len(b) - 1
+    x = _packed(a, size)
+    y = x if b is a else _packed(b, size)
+    raw = (x * y + _biases(size, count)).to_bytes(count * size, "little")
+    half = 1 << (8 * size - 1)
+    return [int.from_bytes(raw[i:i + size], "little") - half
+            for i in range(0, count * size, size)]
+
+
+def _packed(nums, size: int) -> int:
+    """The sum of nums[i] * 2^(8 size i), read from the slots' bytes: slot i
+    holds nums[i] + 2^(8 size - 1), and the biases come off at once.  The
+    bytes cost linear time, where shifting one coefficient in at a time
+    would copy the whole sum for each."""
+    half = 1 << (8 * size - 1)
+    raw = b"".join([(c + half).to_bytes(size, "little") for c in nums])
+    return int.from_bytes(raw, "little") - _biases(size, len(nums))
+
+
+def _biases(size: int, count: int) -> int:
+    """2^(8 size - 1) in each of count slots of size bytes."""
+    return int.from_bytes((bytes(size - 1) + b"\x80") * count, "little")
+
+
 def _aligned(p: Polynomial, q: Polynomial):
     """Fresh numerator lists of p and q over their common denominator, and it."""
     if p.den == q.den:
@@ -352,7 +403,7 @@ def _make(nums: list, den: int, var: str | None) -> Polynomial:
     """The polynomial nums / den, from a fresh list.  Numerators other than
     ints go through the constructor, which turns constant RationalFunctions
     into rationals."""
-    if not all(isinstance(c, int) for c in nums):
+    if not _ints(nums):
         return Polynomial(nums if den == 1 else [c * Fraction(1, den) for c in nums], var)
     return object.__new__(Polynomial)._store(nums, den, var)
 
@@ -380,9 +431,8 @@ def poly_gcd(a: Polynomial, b: Polynomial) -> Polynomial:
     if not isinstance(b, Polynomial):
         b = Polynomial.constant(b)
     var = Polynomial._join(a.var, b.var)
-    for c in a.nums + b.nums:
-        if not isinstance(c, int):
-            raise TypeError("poly_gcd needs plain rational coefficients")
+    if not _ints(a.nums + b.nums):
+        raise TypeError("poly_gcd needs plain rational coefficients")
     # Denominators only scale, so the primitive parts of the numerators do.
     u, v = _int_primitive(list(a.nums)), _int_primitive(list(b.nums))
     if len(u) < len(v):

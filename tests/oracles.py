@@ -13,7 +13,9 @@ p at a random point with probability at most deg(D_n)/p
 
 The J-fraction references are the paper's explicit recurrence
 coefficients and the orthogonal-polynomial values they give at 0
-(`h_value`, `aerated_u_p0`); the tests hold the fit to them.
+(`h_value`, `aerated_u_p0`); the tests hold the fit to them.  The fit
+over Q(t) is also held to `field_fit`, its moment algorithm run on
+`RationalFunction`s throughout.
 
 The series references build the `u` and `convpoly` families by power
 series arithmetic, one prefix at a time, as the library did before its
@@ -29,7 +31,7 @@ from fractions import Fraction
 
 from hankelab.cli import _cmd_fit, _cmd_hankel, _cmd_lgv, _cmd_scan, _cmd_seq, _cmd_verify
 from hankelab.exactnum import Polynomial, PowerSeries, RationalFunction, exact_divide
-from hankelab.orthopoly import JacobiData
+from hankelab.orthopoly import JacobiData, ZeroHankelMinorError
 from hankelab.sequences import catalan_series, f_number, narayana_series, q_integer
 
 
@@ -224,6 +226,33 @@ def conv4_poly_recurrence(depth: int) -> JacobiData:
         else:
             t.append(RationalFunction(-(t2 * lower), upper))
     return JacobiData(s, tuple(t))
+
+
+def field_fit(moments: list):
+    """s and t by Chebyshev's moment algorithm with every moment and row
+    entry a `RationalFunction`: the reference for `orthopoly._fit_field`,
+    whose rows stay polynomials while s and t are."""
+    moments = [m if isinstance(m, RationalFunction) else RationalFunction(m)
+               for m in moments]
+    width = len(moments)
+    older, prev = None, moments
+    r = moments[1] / moments[0]
+    s, t = [r], []
+    for k in range(1, width // 2):
+        shift, drop = -s[k - 1], -t[k - 2] if k >= 2 else None
+        row = [None] * (width - k)
+        for l in range(k, width - k):
+            value = prev[l + 1] + shift * prev[l]
+            if k >= 2:
+                value = value + drop * older[l]
+            row[l] = value
+        if not row[k]:
+            raise ZeroHankelMinorError(k + 1)
+        t.append(row[k] / prev[k - 1])
+        ratio = row[k + 1] / row[k]
+        s.append(ratio - r)
+        older, prev, r = prev, row, ratio
+    return s, t
 
 
 # -- series references for the closed forms ------------------------------

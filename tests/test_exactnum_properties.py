@@ -11,7 +11,10 @@ hashing follow the coefficients, also between a `RationalFunction`, a
 function and its negative powers go through its reciprocal.  A
 polynomial with `RationalFunction`
 coefficients runs the same loops on its coefficient objects, which the
-last test pins.
+last tests pin.  Products of two int-numerator polynomials of at least
+`ring._PACKED_MIN` coefficients each are one big-int product (Kronecker
+substitution); the packing properties hold it to the schoolbook int loop
+on both sides of that threshold, on signed and very large coefficients.
 """
 
 from __future__ import annotations
@@ -23,6 +26,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from hankelab import ring
 from hankelab.exactnum import Polynomial, RationalFunction, poly_gcd
 
 DENOMINATORS = st.integers(-12, 12).filter(bool)
@@ -251,3 +255,52 @@ def test_rational_function_coefficients_take_the_fraction_loop():
     assert_same(rem, ref_rem, "x")
     assert_same((a * b).exact_div(b), a.coeffs, "x")
     assert any(isinstance(c, RationalFunction) for c in (a * b).coeffs)
+
+
+# Signed int numerators, small, past 2^64 and at the edges of a byte.
+BIG_INTS = st.one_of(
+    st.integers(-9, 9),
+    st.integers(-(2**200), 2**200),
+    st.sampled_from([2**64, -(2**64), 2**64 - 1, 2**64 + 1, -(2**127), 255, -256]),
+)
+# Lengths on both sides of the packing threshold, 0 and 1 included.
+INT_LISTS = st.sampled_from([0, 1, 2, 7, 8, 9, 13, 40]).flatmap(
+    lambda n: st.lists(BIG_INTS, min_size=n, max_size=n))
+
+
+def int_product(a, b):
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+@given(INT_LISTS.filter(bool), INT_LISTS.filter(bool))
+def test_the_packed_product_matches_the_schoolbook_loop(a, b):
+    assert ring._packed_product(a, b) == int_product(a, b)
+    assert ring._packed_product(a, a) == int_product(a, a)
+
+
+@given(INT_LISTS, INT_LISTS, SCALES)
+def test_long_products_are_packed_and_match_the_fraction_loop(a, b, scale):
+    packed = []
+    product = ring._packed_product
+    p, q = Polynomial(a, "t"), Polynomial([c * scale for c in b], "t")
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(ring, "_packed_product",
+                      lambda x, y: packed.append(1) or product(x, y))
+        assert_same(p * q, ref_mul(p.coeffs, q.coeffs))
+        assert_same(p * p, ref_mul(p.coeffs, p.coeffs))
+    long_p = len(p.nums) >= ring._PACKED_MIN
+    assert len(packed) == (long_p and len(q.nums) >= ring._PACKED_MIN) + long_p
+
+
+def test_long_rational_function_coefficients_take_the_schoolbook_loop(monkeypatch):
+    monkeypatch.setattr(ring, "_packed_product", None)  # any call fails
+    r = RationalFunction.parse("t / (1 - t)")
+    a = Polynomial([r] + [Fraction(k, 3) for k in range(1, 10)], "x")
+    b = Polynomial([k - 4 for k in range(ring._PACKED_MIN + 1)], "x")
+    for x, y in ((a, b), (b, a), (a, a)):
+        assert_same(x * y, ref_mul(x.coeffs, y.coeffs), "x")
+    assert isinstance((a * b).coefficient(0), RationalFunction)

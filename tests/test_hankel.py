@@ -248,6 +248,35 @@ def test_the_chebyshev_rows_skip_each_unit_divisor(monkeypatch):
         assert 1 not in calls
 
 
+def test_the_chebyshev_rows_multiply_by_no_zero(monkeypatch):
+    # x^w enters the first row step as its leading 1 alone, so no product
+    # takes one of its zeros, at gap 1 (a(0) != 0) or past a run of zero
+    # minors (a(0) = 0).  These moments give rows with no other zero entry
+    # and no zero step coefficient, so no product has a zero factor.
+    products = []
+    multiply = Polynomial.__mul__
+
+    def counting(a, b):
+        products.append(not a or not b)
+        return multiply(a, b)
+
+    cases = [(spec, terms(spec, 39)) for spec in ("narayana", "narayana-b")]
+    cases += [("0, narayana", [0] + terms("narayana", 38)),
+              ("0, 0, narayana-b", [0, 0] + terms("narayana-b", 37))]
+    for name, moments in cases:
+        products.clear()
+        with monkeypatch.context() as patch:
+            patch.setattr(Polynomial, "__mul__", counting)
+            patch.setattr(Polynomial, "__rmul__", counting)
+            minors = [row[0] for row in _chebyshev_rows(moments)]
+        assert len(products) > 900 and not any(products), name
+        assert len(minors) == 20, name
+        one = Polynomial.constant(1)
+        for n in range(1, 9):
+            block = [moments[i:i + n] for i in range(n)]
+            assert minors[n - 1] == bareiss_det(block, one), (name, n)
+
+
 def test_det_sequence_never_eliminates(monkeypatch):
     # The Chebyshev rows give every D_n, the zero ones too, so the moments
     # are cleared once and nothing reaches elimination.

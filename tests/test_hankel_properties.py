@@ -153,19 +153,23 @@ POINTS = st.integers(1, PRIME - 1)
 # Every family; catconv:r=3 and r=5, fibonacci (a(0) = 0), lucas and
 # f-number, and the aerated specs at offset 1 have vanishing minors.  The
 # twice-aerated specs have runs of 2 to 5 of them, over Z and Z[t].
+# convpoly:m=6 and m=8 are the specs of the conj7.6 and conj7.7 scans,
+# whose long, wide products are packed.
 MODULAR_SPECS = [
     "catalan", "central-binomial", "catconv:r=3", "catconv:r=5", "u:r=3",
     "u:r=3|double-signed", "fibonacci", "lucas", "f-number:r=2",
     "catalan|double-signed|aerate", "catalan|scale:1/3",
     "narayana", "narayana-b", "convpoly:m=4", "narayana|aerate",
     "catconv:r=3|aerate|aerate", "catalan|aerate|aerate", "narayana|aerate|aerate",
+    "convpoly:m=6", "convpoly:m=8",
 ]
+POLYNOMIAL_ORDER = 28
 
 
 @functools.cache
 def _modular_case(spec, offset):
     """det_sequence's values and the Hankel rows at the oracle's order."""
-    n = 20 if parse_spec(spec).kind == POLYNOMIAL else 40
+    n = POLYNOMIAL_ORDER if parse_spec(spec).kind == POLYNOMIAL else 40
     return det_sequence(spec, n, offset).values, hankel_matrix(spec, n, offset).rows
 
 
@@ -176,7 +180,8 @@ def _mismatches(values, rows, point):
 
 @settings(max_examples=20)
 @given(st.sampled_from([("narayana", 0), ("catconv:r=5", 0), ("catalan", 1),
-                        ("catconv:r=3|aerate|aerate", 0)]), POINTS,
+                        ("catconv:r=3|aerate|aerate", 0), ("convpoly:m=6", 0),
+                        ("convpoly:m=8", 1)]), POINTS,
        st.data())
 def test_the_modular_oracle_finds_a_planted_one_coefficient_error(case, point, data):
     values, rows = _modular_case(*case)

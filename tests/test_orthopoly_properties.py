@@ -3,13 +3,17 @@
 Rational moments are fitted on integer bordered Hankel minors.  These
 properties hold that kernel to Chebyshev's moment algorithm run one
 `Fraction` at a time, written out here as the oracle, on s, t and the
-order of the first vanishing minor.
+order of the first vanishing minor.  Polynomial moments are fitted with
+rows that stay polynomials while s and t are; that loop is held to
+`oracles.field_fit`, the same algorithm on `RationalFunction`s
+throughout, in value and type.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
+import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -17,8 +21,11 @@ from hankelab.orthopoly import (
     JacobiData,
     ZeroHankelMinorError,
     fit_recurrence,
+    fit_spec,
     moments_from_recurrence,
 )
+from hankelab.sequences import terms
+from oracles import field_fit
 
 # Small numerators over small denominators make vanishing minors common;
 # moments built from recurrence data with some t(j) = 0 have H_(j+2) = 0
@@ -92,3 +99,22 @@ def test_oracle_sees_zero_minors_at_several_orders():
     for moments, order in (([1, 1, 1, 1], 2), ([1, 0, 1, 0, 1, 0], 3)):
         assert outcome(sigma_fit, moments, len(moments) // 2) == order
         assert outcome(fit_recurrence, moments, len(moments) // 2) == order
+
+
+def _typed(values) -> list:
+    return [(type(v), str(v)) for v in values]
+
+
+# s and t are polynomials for the Narayana specs, and for convpoly:m=4,
+# whose s(k) is 0 at odd k; convpoly:m=5 has true rational functions, so
+# its rows become `RationalFunction`s after the first.  Its fit costs
+# about 17 s at depth 20 either way, so it stops at depth 10.
+@pytest.mark.parametrize("spec, deep", [("narayana", 20), ("narayana-b", 20),
+                                        ("narayana|aerate", 20), ("convpoly:m=4", 20),
+                                        ("convpoly:m=5", 10)])
+def test_the_polynomial_row_fit_matches_the_rational_function_loop(spec, deep):
+    for depth in (0, 1, 2, deep):
+        fitted = fit_spec(spec, depth)
+        s, t = field_fit(terms(spec, 2 * depth)) if depth else ((), ())
+        assert (fitted.s, fitted.t) == (tuple(s), tuple(t)), (spec, depth)
+        assert _typed(fitted.s) == _typed(s) and _typed(fitted.t) == _typed(t)
